@@ -74,8 +74,12 @@ impl LeaderElection for KppCompleteLe {
         // Round 1: candidates contact s random referees (with replacement —
         // duplicates just waste a message, as in the original analysis).
         let mut contacted: Vec<Vec<NodeId>> = vec![Vec::new(); candidates.len()];
+        // `last_contact[w] == i + 1` iff candidate `i` already contacted `w`
+        // (candidates contact in index order, so one tag per referee does).
+        let mut last_contact = vec![0u32; n];
         let mut max_seen = vec![0u64; n];
         for (i, c) in candidates.iter().enumerate() {
+            let tag = i as u32 + 1;
             for _ in 0..s {
                 let w = loop {
                     let w = net.rng(c.node).gen_range(0..n);
@@ -83,7 +87,8 @@ impl LeaderElection for KppCompleteLe {
                         break w;
                     }
                 };
-                if !contacted[i].contains(&w) {
+                if last_contact[w] != tag {
+                    last_contact[w] = tag;
                     net.send(c.node, w, KppMessage::Rank(c.rank))?;
                     contacted[i].push(w);
                 }

@@ -594,6 +594,7 @@ impl<P: NodeProgram> EventRuntime<P> {
 
     fn flush_outbox(&mut self, v: NodeId) -> Result<(), Error> {
         std::mem::swap(self.outbox.msgs_mut(), &mut self.flush_scratch);
+        self.net.reserve_sends(v, self.flush_scratch.len());
         for (port, msg) in self.flush_scratch.drain(..) {
             self.net.send_through_port(v, port, msg)?;
         }

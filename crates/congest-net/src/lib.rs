@@ -30,8 +30,9 @@
 //! # Performance architecture
 //!
 //! The simulator's data plane is built so that a steady-state round performs
-//! **zero heap allocation** and no hashing. Three design decisions carry
-//! this, and each comes with an invariant the rest of the crate relies on:
+//! **zero heap allocation**, and sends from low-degree nodes no hashing.
+//! Three design decisions carry this, and each comes with an invariant the
+//! rest of the crate relies on:
 //!
 //! ## 1. Dual-backend graph with a closed-form reverse-port map
 //!
@@ -53,20 +54,31 @@
 //! an adjacency list. (`port_to(v, u)` for arbitrary pairs remains
 //! `O(log deg)` / `O(1)` and is off the hot path.)
 //!
-//! ## 2. Round-stamped edge usage, paged lazily per node
+//! ## 2. Round-stamped edge usage, sized by traffic
 //!
-//! The CONGEST one-message-per-directed-edge rule is enforced by per-node
-//! *stamp pages*: node `v`'s page holds `deg(v)` round stamps, one per port,
-//! and a port is busy iff its stamp equals the current `round_stamp`. Pages
-//! are allocated on a node's **first send** — a node that never sends costs
-//! one null pointer, so the data plane carries O(n + active) stamp state
-//! instead of the former O(E) flat array (terabytes on an implicit `K_n`).
-//! Advancing a round just increments `round_stamp`.
+//! The CONGEST one-message-per-directed-edge rule is enforced by round
+//! stamps held in one of two places. A sender of degree at most 64 gets a
+//! dense *stamp page* on its first send: `deg(v)` round stamps, one per
+//! port, and a port is busy iff its stamp equals the current `round_stamp`.
+//! A higher-degree sender instead records its busy `(from, port)` pairs in
+//! an open-addressed set owned by its shard, whose slots are tagged with the
+//! round that wrote them; once it sends more than `max(64, deg/16)` messages
+//! in one round it escalates to a dense page, and the pairs it already used
+//! that round are copied into the page. A broadcast, and a runtime outbox
+//! flush large enough to escalate, get the page directly. A node that never
+//! sends costs one null pointer, so stamp state is O(n) pointers plus the
+//! peak number of sparse sends in one round plus the escalated pages: a
+//! one-message referee reply on an implicit `K_n` costs one set slot, not
+//! an `8·(n − 1)`-byte page. Advancing a round just increments
+//! `round_stamp`.
 //!
 //! **Invariant:** `round_stamp` is strictly monotone (`advance_round` adds 1,
-//! `skip_rounds(r)` adds `r`), so a stamp written in an earlier round can
-//! never compare equal again — stale pages need no clearing, and enforcement
-//! is one load + compare + store, with no `HashSet` in sight.
+//! `skip_rounds(r)` adds `r`), so a stamp or set tag written in an earlier
+//! round can never compare equal again — stale pages and slots need no
+//! clearing, and the set keeps its capacity across rounds. At any moment a
+//! node's busy ports for the current round live in exactly one place (its
+//! page if it has one, else its owner shard's set), so accept/reject
+//! decisions do not depend on the representation or on the shard count.
 //!
 //! ## 3. Double-buffered inboxes and outboxes
 //!
@@ -91,9 +103,10 @@
 //! partitioned into `k` contiguous ranges balanced by directed-edge count
 //! ([`Graph::shard_boundaries`]), and each shard receives an exclusive
 //! [`ShardView`]: its nodes' inboxes and private RNG streams, its own outbox
-//! queue and send counters, and — because CSR edge ids are grouped by source
-//! node — a contiguous, disjoint slice of the round-stamp table covering
-//! precisely its nodes' outgoing directed edges. A shard only ever sends
+//! queue and send counters, a contiguous, disjoint slice of the stamp pages
+//! covering precisely its nodes' outgoing directed edges, and its own
+//! sparse edge-busy set (which the sequential path also uses for the
+//! shard's nodes). A shard only ever sends
 //! from its own nodes, so **CONGEST edge-busy enforcement never touches
 //! another shard's stamps**, and the `rev_port` table resolves every arrival
 //! port at send time, so delivery needs no receiver-side coordination
@@ -248,6 +261,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod busy;
 pub mod error;
 pub mod event;
 pub mod fault;

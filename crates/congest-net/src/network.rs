@@ -10,12 +10,15 @@
 //!   reallocated, with a dirty list so a round costs O(messages delivered),
 //!   not O(n).
 //! * The CONGEST one-message-per-directed-edge rule is enforced by
-//!   **round-stamped** per-node pages, allocated lazily on a node's first
-//!   send: port `p` of node `v` is busy iff its stamp equals the current
-//!   round stamp, so there is no hashing and nothing to clear between
-//!   rounds — and nodes that never transmit never pay for stamps at all
-//!   (the former eager `Vec<u64>` over all directed edge ids was O(E),
-//!   which at a million-node complete graph is a terabyte).
+//!   round-stamped state whose size follows traffic (see the `busy`
+//!   module): a sender of degree at most 64 gets a dense page of `deg(v)`
+//!   stamps on its first send; a higher-degree sender records its busy
+//!   ports in its shard's round-tagged open-addressed set until it sends
+//!   more than `max(64, deg/16)` messages in one round, and only then gets a
+//!   page. Stamps and tags are compared with the current round stamp, so
+//!   nothing is cleared between rounds, and nodes that never transmit cost
+//!   one null pointer. A one-message referee reply on `K_n` costs one set
+//!   slot, not `8·(n − 1)` bytes of page.
 //! * The arrival port of every message is resolved at *send* time — an O(1)
 //!   reverse-port table read on the CSR backend, an O(1) closed form on
 //!   implicit topologies — so receivers (and the
@@ -29,6 +32,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use crate::busy::{self, SparseBusy};
 use crate::error::Error;
 use crate::event::{SchedulerSpec, SchedulerState};
 use crate::fault::{DropCause, FaultPlan, FaultState, NeighborFaultView, TraceEvent, Verdict};
@@ -191,15 +195,18 @@ pub struct Network<M: Payload> {
     /// what was touched, keeping each round `O(messages delivered)` instead
     /// of `O(n)`).
     dirty_inboxes: Vec<NodeId>,
-    /// Per-node round-stamp pages, allocated lazily on a node's first send;
-    /// `edge_stamp[v][p] == round_stamp` means port `p` of `v` already
-    /// carries a message this round, and an empty page means `v` has never
-    /// sent. Keeps round state O(n + Σ deg over senders) instead of O(E) —
-    /// essential for implicit million-node topologies. Monotone stamps make
-    /// clearing unnecessary. Only consulted when CONGEST enforcement is on.
+    /// Per-node dense round-stamp pages: `edge_stamp[v][p] == round_stamp`
+    /// means port `p` of `v` already carries a message this round. Empty
+    /// until `v` first sends (degree ≤ 64) or escalates out of
+    /// `sparse_busy` (higher degree). Only consulted when CONGEST
+    /// enforcement is on.
     edge_stamp: Vec<Box<[u64]>>,
-    /// The current round's stamp; starts at 1 so the zero-initialised
-    /// `edge_stamp` means "never used".
+    /// Per-shard sets of the busy `(from, port)` pairs of high-degree
+    /// senders that have no page; shard `s` owns the pairs of its nodes, on
+    /// the sequential and the sharded send path alike. Capacity retained.
+    sparse_busy: Vec<SparseBusy>,
+    /// The current round's stamp; starts at 1 so zero-initialised stamps
+    /// and tags mean "never used".
     round_stamp: u64,
     node_rngs: Vec<StdRng>,
     shared_rng: Option<StdRng>,
@@ -251,9 +258,17 @@ pub struct Network<M: Payload> {
 
 impl<M: Payload> Network<M> {
     /// Creates a network over `graph` with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` has more than `2^32` nodes.
     #[must_use]
     pub fn new(graph: Graph, config: NetworkConfig) -> Self {
         let n = graph.node_count();
+        assert!(
+            n as u64 <= 1 << 32,
+            "{n} nodes exceed the 2^32 the edge-busy set packs"
+        );
         let budget_bits = congest_budget_bits(n);
         let mut seeder = StdRng::seed_from_u64(config.seed);
         let node_rngs = (0..n)
@@ -277,6 +292,7 @@ impl<M: Payload> Network<M> {
             inboxes: vec![Vec::new(); n],
             dirty_inboxes: Vec::new(),
             edge_stamp: (0..n).map(|_| Box::default()).collect(),
+            sparse_busy: (0..shards).map(|_| SparseBusy::default()).collect(),
             round_stamp: 1,
             graph,
             config,
@@ -563,17 +579,18 @@ impl<M: Payload> Network<M> {
 
     /// The hot send path: every send funnels here with a resolved
     /// `(from, port)` pair, where CONGEST enforcement is an O(1) stamp
-    /// compare against the sender's (lazily allocated) stamp page and the
-    /// arrival port an O(1) reverse-port lookup — closed-form on implicit
-    /// backends, table read on CSR. Carrying ports instead of edge ids keeps
-    /// implicit topologies off the edge-id decode (division) path entirely.
+    /// compare against the sender's page (or one set probe for a
+    /// high-degree sender without one) and the arrival port an O(1)
+    /// reverse-port lookup — closed-form on implicit backends, table read on
+    /// CSR. Carrying ports instead of edge ids keeps implicit topologies off
+    /// the edge-id decode (division) path entirely.
     fn send_on_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
         let (to, arrival) = self.graph.delivery_slot(from, port);
         self.send_resolved(from, port, to, arrival, msg)
     }
 
     /// The tail of every send once the delivery slot is known: budget
-    /// check, stamp, meter, queue. Split out so `send_through_port` can
+    /// check, edge-busy check, meter, queue. Split out so `send_through_port` can
     /// resolve the slot and validate the port in a single graph dispatch.
     #[inline]
     fn send_resolved(
@@ -592,9 +609,12 @@ impl<M: Payload> Network<M> {
                     budget: self.budget_bits,
                 });
             }
-            if !try_stamp(
+            let (boundaries, sparse) = (&self.boundaries, &mut self.sparse_busy);
+            if !busy::try_stamp(
                 &mut self.edge_stamp[from],
+                move || &mut sparse[shard_of(boundaries, from)],
                 || self.graph.degree(from),
+                from,
                 port,
                 self.round_stamp,
             ) {
@@ -657,8 +677,28 @@ impl<M: Payload> Network<M> {
         }
     }
 
+    /// Tells the CONGEST check that `v` is about to send `sends` messages
+    /// this round, so a high-degree sender that would escalate out of the
+    /// sparse edge-busy set partway through the batch gets its dense page
+    /// up front. Changes no accept/reject decision; the runtimes call it
+    /// before flushing an outbox.
+    pub(crate) fn reserve_sends(&mut self, v: NodeId, sends: usize) {
+        if self.config.enforce_congest {
+            busy::reserve(
+                &mut self.edge_stamp[v],
+                || &self.sparse_busy[shard_of(&self.boundaries, v)],
+                || self.graph.degree(v),
+                v,
+                sends,
+                self.round_stamp,
+            );
+        }
+    }
+
     /// Sends `msg` from `v` to every neighbour of `v`, without allocating
-    /// (beyond `v`'s stamp page on its first ever send).
+    /// (beyond `v`'s stamp page on its first broadcast: a broadcast sends
+    /// `deg(v)` messages anyway, so even a high-degree sender gets its dense
+    /// page directly).
     ///
     /// The budget check and the stamp-page lookup are hoisted out of the
     /// per-port loop — on high-degree nodes (the star hub, any node of
@@ -686,7 +726,8 @@ impl<M: Payload> Network<M> {
             }
             let page = &mut self.edge_stamp[v];
             if page.is_empty() {
-                *page = vec![0u64; degree].into_boxed_slice();
+                let sparse = &self.sparse_busy[shard_of(&self.boundaries, v)];
+                *page = sparse.dense_page(v, degree, self.round_stamp);
             }
         }
         let page = &mut self.edge_stamp[v];
@@ -1151,12 +1192,12 @@ impl<M: Payload> Network<M> {
     /// [`ShardView`]s, one per shard, for one round of parallel execution.
     ///
     /// Each view covers a contiguous node range and therefore a contiguous,
-    /// disjoint slice of the per-node round-stamp pages, so CONGEST
-    /// edge-busy enforcement needs no cross-shard synchronisation: a shard
-    /// only ever sends from its own nodes, whose outgoing directed edges it
-    /// exclusively owns. Views queue sends into per-shard outboxes that the
-    /// next [`advance_round`](Network::advance_round) merges
-    /// deterministically.
+    /// disjoint slice of the per-node stamp pages, plus its own sparse
+    /// edge-busy set, so CONGEST edge-busy enforcement needs no cross-shard
+    /// synchronisation: a shard only ever sends from its own nodes, whose
+    /// outgoing directed edges it exclusively owns. Views queue sends into
+    /// per-shard outboxes that the next
+    /// [`advance_round`](Network::advance_round) merges deterministically.
     ///
     /// The caller must not touch the network until every view is dropped
     /// (the borrow checker enforces this), and must call `advance_round` to
@@ -1173,6 +1214,7 @@ impl<M: Payload> Network<M> {
         let mut inboxes = self.inboxes.as_mut_slice();
         let mut stamps = self.edge_stamp.as_mut_slice();
         let mut rngs = self.node_rngs.as_mut_slice();
+        let mut sparse = self.sparse_busy.iter_mut();
         let mut pending = self.shard_pending.iter_mut();
         let mut counters = self.shard_counters.iter_mut();
         let mut views = Vec::with_capacity(shards);
@@ -1195,6 +1237,7 @@ impl<M: Payload> Network<M> {
                 quantum,
                 inboxes: shard_inboxes,
                 edge_stamp: shard_stamps,
+                sparse_busy: sparse.next().expect("shard edge-busy set missing"),
                 rngs: shard_rngs,
                 pending: pending.next().expect("shard pending missing"),
                 counters: counters.next().expect("shard counters missing"),
@@ -1206,8 +1249,9 @@ impl<M: Payload> Network<M> {
 
 /// One shard's exclusive, thread-safe window onto the network for a single
 /// round of sharded execution: the shard's inboxes, private RNG streams, the
-/// round-stamp pages for its nodes' outgoing directed edges, and its own
-/// outbox queue and send counters. Produced by [`Network::shard_views`].
+/// stamp pages and sparse edge-busy set for its nodes' outgoing directed
+/// edges, and its own outbox queue and send counters. Produced by
+/// [`Network::shard_views`].
 #[derive(Debug)]
 pub struct ShardView<'a, M: Payload> {
     graph: &'a Graph,
@@ -1228,9 +1272,11 @@ pub struct ShardView<'a, M: Payload> {
     /// from the recorder at view creation).
     quantum: bool,
     inboxes: &'a mut [Vec<Delivery<M>>],
-    /// This shard's nodes' lazily allocated stamp pages, indexed by
-    /// `v - node_lo` and then by port.
+    /// This shard's nodes' dense stamp pages, indexed by `v - node_lo` and
+    /// then by port.
     edge_stamp: &'a mut [Box<[u64]>],
+    /// This shard's set of busy pairs of high-degree senders without a page.
+    sparse_busy: &'a mut SparseBusy,
     rngs: &'a mut [StdRng],
     pending: &'a mut Vec<(NodeId, Port, NodeId, M)>,
     counters: &'a mut ShardCounters,
@@ -1333,11 +1379,30 @@ impl<M: Payload> ShardView<'_, M> {
         &mut self.rngs[v - self.node_lo]
     }
 
+    /// The sharded mirror of `Network::reserve_sends`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is outside this shard's node range.
+    pub(crate) fn reserve_sends(&mut self, v: NodeId, sends: usize) {
+        if self.enforce_congest {
+            let sparse = &*self.sparse_busy;
+            busy::reserve(
+                &mut self.edge_stamp[v - self.node_lo],
+                move || sparse,
+                || self.graph.degree(v),
+                v,
+                sends,
+                self.round_stamp,
+            );
+        }
+    }
+
     /// Sends `msg` from `from` through its local port `port`, with the same
     /// semantics (and errors) as [`Network::send_through_port`]: O(1)
-    /// CONGEST enforcement against this shard's private stamp slice, O(1)
-    /// arrival-port resolution, and queuing into this shard's outbox for the
-    /// deterministic merge at the round barrier.
+    /// CONGEST enforcement against this shard's private pages and edge-busy
+    /// set, O(1) arrival-port resolution, and queuing into this shard's
+    /// outbox for the deterministic merge at the round barrier.
     ///
     /// # Errors
     ///
@@ -1377,9 +1442,12 @@ impl<M: Payload> ShardView<'_, M> {
                     budget: self.budget_bits,
                 });
             }
-            if !try_stamp(
+            let sparse = &mut *self.sparse_busy;
+            if !busy::try_stamp(
                 &mut self.edge_stamp[from - self.node_lo],
+                move || sparse,
                 || self.graph.degree(from),
+                from,
                 port,
                 self.round_stamp,
             ) {
@@ -1392,28 +1460,9 @@ impl<M: Payload> ShardView<'_, M> {
     }
 }
 
-/// Stamps `(sender page, port)` for the current round, allocating the page
-/// (one `u64` per port) on the node's first ever send. Returns `false` iff
-/// the directed edge already carried a message this round. Shared by the
-/// sequential and sharded send paths so both enforce CONGEST identically.
-/// The degree is a closure so the steady-state path (page already
-/// allocated) never pays the backend dispatch for it.
-#[inline]
-fn try_stamp(
-    page: &mut Box<[u64]>,
-    degree: impl FnOnce() -> usize,
-    port: Port,
-    round_stamp: u64,
-) -> bool {
-    if page.is_empty() {
-        *page = vec![0u64; degree()].into_boxed_slice();
-    }
-    let stamp = &mut page[port];
-    if *stamp == round_stamp {
-        return false;
-    }
-    *stamp = round_stamp;
-    true
+/// The shard that owns node `v`, given the shard fenceposts.
+fn shard_of(boundaries: &[usize], v: NodeId) -> usize {
+    boundaries.partition_point(|&b| b <= v) - 1
 }
 
 #[cfg(test)]
@@ -1499,6 +1548,134 @@ mod tests {
         net.send(0, 1, 2).unwrap();
         net.advance_round();
         assert_eq!(net.metrics().rounds, 12);
+    }
+
+    /// `K_200`: every node has degree 199, above the dense-page cutoff, so
+    /// first sends go through the sparse edge-busy set; 64 sends in a round
+    /// stay sparse and the 65th escalates.
+    fn high_degree_net(shards: usize) -> Network<u64> {
+        Network::new(
+            topology::complete(200).unwrap(),
+            NetworkConfig::with_seed(3).shards(shards),
+        )
+    }
+
+    #[test]
+    fn sparse_path_rejects_a_repeated_pair() {
+        let mut net = high_degree_net(1);
+        net.send_through_port(7, 5, 1).unwrap();
+        assert!(matches!(
+            net.send_through_port(7, 5, 2),
+            Err(Error::EdgeBusy { from: 7, .. })
+        ));
+        net.send_through_port(7, 6, 3).unwrap();
+        net.send_through_port(8, 5, 4).unwrap();
+        assert!(
+            net.edge_stamp[7].is_empty(),
+            "one reply must not cost a page"
+        );
+        net.advance_round();
+        net.send_through_port(7, 5, 5).unwrap();
+    }
+
+    #[test]
+    fn ports_used_before_escalation_stay_busy_after_it() {
+        let mut net = high_degree_net(1);
+        for port in 0..64 {
+            net.send_through_port(0, 2 * port, port as u64).unwrap();
+        }
+        assert!(net.edge_stamp[0].is_empty());
+        net.send_through_port(0, 190, 0).unwrap();
+        assert_eq!(net.edge_stamp[0].len(), 199, "the 65th send escalates");
+        for port in (0..64).map(|p| 2 * p).chain([190]) {
+            assert!(matches!(
+                net.send_through_port(0, port, 0),
+                Err(Error::EdgeBusy { .. })
+            ));
+        }
+        net.send_through_port(0, 1, 0).unwrap();
+        net.advance_round();
+        net.broadcast(0, 9).unwrap();
+    }
+
+    #[test]
+    fn broadcast_after_sparse_sends_sees_them() {
+        let mut net = high_degree_net(1);
+        net.send_through_port(4, 150, 1).unwrap();
+        assert!(matches!(net.broadcast(4, 2), Err(Error::EdgeBusy { .. })));
+        net.advance_round();
+        net.broadcast(4, 3).unwrap();
+    }
+
+    #[test]
+    fn skip_rounds_frees_every_sparse_edge() {
+        let mut net = high_degree_net(1);
+        for v in 0..10 {
+            for port in 0..20 {
+                net.send_through_port(v, port, 1).unwrap();
+            }
+        }
+        net.advance_round();
+        net.skip_rounds(7);
+        for v in 0..10 {
+            for port in 0..20 {
+                net.send_through_port(v, port, 2).unwrap();
+            }
+        }
+        net.advance_round();
+        assert_eq!(net.metrics().classical_messages, 400);
+    }
+
+    #[test]
+    fn shard_view_matches_the_sequential_sparse_path() {
+        // Duplicates, an out-of-range port, and enough distinct ports to
+        // escalate, from a node in the second of two shards.
+        let ports: Vec<Port> = (0..80)
+            .chain([3, 500, 79, 120, 3])
+            .chain(100..110)
+            .collect();
+        let outcome = |r: Result<(), Error>| format!("{r:?}");
+        let mut sequential = high_degree_net(1);
+        let expected: Vec<String> = ports
+            .iter()
+            .map(|&p| outcome(sequential.send_through_port(150, p, 1)))
+            .collect();
+        let mut sharded = high_degree_net(2);
+        assert_eq!(sharded.shard_count(), 2);
+        let mut views = sharded.shard_views();
+        let got: Vec<String> = ports
+            .iter()
+            .map(|&p| outcome(views[1].send_through_port(150, p, 1)))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(got.iter().any(|r| r.contains("EdgeBusy")));
+        assert!(got.iter().any(|r| r.contains("PortOutOfRange")));
+    }
+
+    #[test]
+    fn sequential_and_sharded_sends_share_the_owner_shard_set() {
+        let mut net = high_degree_net(2);
+        net.send_through_port(150, 3, 1).unwrap();
+        let mut views = net.shard_views();
+        assert!(matches!(
+            views[1].send_through_port(150, 3, 2),
+            Err(Error::EdgeBusy { from: 150, .. })
+        ));
+        views[1].send_through_port(150, 4, 3).unwrap();
+    }
+
+    #[test]
+    fn reserve_sends_pages_only_escalating_batches() {
+        let mut net = high_degree_net(1);
+        net.reserve_sends(0, 64);
+        assert!(net.edge_stamp[0].is_empty());
+        net.send_through_port(0, 9, 1).unwrap();
+        net.reserve_sends(0, 199);
+        assert_eq!(net.edge_stamp[0].len(), 199);
+        assert!(matches!(
+            net.send_through_port(0, 9, 2),
+            Err(Error::EdgeBusy { .. })
+        ));
     }
 
     #[test]

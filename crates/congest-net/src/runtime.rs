@@ -294,9 +294,7 @@ fn run_shard_round<P: NodeProgram>(
                 faults,
             };
             program.on_recover(&mut ctx, &mut scratch.outbox);
-            for (port, msg) in scratch.outbox.msgs.drain(..) {
-                view.send_through_port(v, port, msg)?;
-            }
+            flush_into_view(view, v, &mut scratch.outbox.msgs)?;
             continue;
         }
         // Same crash rule as the sequential engine: a crashed node computes
@@ -346,9 +344,20 @@ fn run_shard_round<P: NodeProgram>(
             };
             program.on_round(&mut ctx, &scratch.incoming, &mut scratch.outbox);
         }
-        for (port, msg) in scratch.outbox.msgs.drain(..) {
-            view.send_through_port(v, port, msg)?;
-        }
+        flush_into_view(view, v, &mut scratch.outbox.msgs)?;
+    }
+    Ok(())
+}
+
+/// Sends everything `v` queued, through its shard's view.
+fn flush_into_view<M: Payload>(
+    view: &mut ShardView<'_, M>,
+    v: NodeId,
+    msgs: &mut Vec<(Port, M)>,
+) -> Result<(), Error> {
+    view.reserve_sends(v, msgs.len());
+    for (port, msg) in msgs.drain(..) {
+        view.send_through_port(v, port, msg)?;
     }
     Ok(())
 }
@@ -751,6 +760,7 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// reused across calls.
     fn flush_outbox(&mut self, v: NodeId) -> Result<(), Error> {
         std::mem::swap(&mut self.outbox.msgs, &mut self.flush_scratch);
+        self.net.reserve_sends(v, self.flush_scratch.len());
         for (port, msg) in self.flush_scratch.drain(..) {
             self.net.send_through_port(v, port, msg)?;
         }

@@ -57,35 +57,30 @@ impl Payload for LeMessage {
 /// received a rank strictly higher than `r_v` in the classical phase (two
 /// messages, two rounds).
 #[derive(Debug)]
-struct HigherRankOracle {
+struct HigherRankOracle<'a> {
     candidate: Candidate,
-    /// All nodes other than the candidate (the search domain `X`).
-    domain: Vec<NodeId>,
     /// `max_received[w]`: the highest rank node `w` received in the classical
-    /// phase (0 if none).
-    max_received: Vec<u64>,
+    /// phase (0 if none), for all `n` nodes. Shared by every candidate's
+    /// oracle; the search domain `X` is every node but the candidate.
+    max_received: &'a [u64],
     /// Cached marked nodes (`f_v⁻¹(1)`).
     marked: Vec<NodeId>,
 }
 
-impl HigherRankOracle {
-    fn new(candidate: Candidate, n: usize, max_received: Vec<u64>) -> Self {
-        let domain: Vec<NodeId> = (0..n).filter(|&w| w != candidate.node).collect();
-        let marked = domain
-            .iter()
-            .copied()
-            .filter(|&w| max_received[w] > candidate.rank)
+impl<'a> HigherRankOracle<'a> {
+    fn new(candidate: Candidate, max_received: &'a [u64]) -> Self {
+        let marked = (0..max_received.len())
+            .filter(|&w| w != candidate.node && max_received[w] > candidate.rank)
             .collect();
         HigherRankOracle {
             candidate,
-            domain,
             max_received,
             marked,
         }
     }
 }
 
-impl CheckingOracle<LeMessage> for HigherRankOracle {
+impl CheckingOracle<LeMessage> for HigherRankOracle<'_> {
     type Item = NodeId;
 
     fn check(&mut self, net: &mut Network<LeMessage>, w: &NodeId) -> Result<bool, Error> {
@@ -102,11 +97,13 @@ impl CheckingOracle<LeMessage> for HigherRankOracle {
     }
 
     fn sample_input(&mut self, rng: &mut StdRng) -> NodeId {
-        self.domain[rng.gen_range(0..self.domain.len())]
+        // The `i`-th node of the domain, skipping the candidate itself.
+        let i = rng.gen_range(0..self.max_received.len() - 1);
+        i + usize::from(i >= self.candidate.node)
     }
 
     fn domain_size(&self) -> u64 {
-        self.domain.len() as u64
+        self.max_received.len() as u64 - 1
     }
 
     fn marked_count(&self) -> u64 {
@@ -198,8 +195,10 @@ impl LeaderElection for QuantumLe {
         // arbitrary (here: uniformly random distinct) other nodes, all in one
         // round; referees remember the highest rank received.
         let mut max_received = vec![0u64; n];
+        let mut others: Vec<NodeId> = Vec::with_capacity(n - 1);
         for c in &candidates {
-            let mut others: Vec<NodeId> = (0..n).filter(|&w| w != c.node).collect();
+            others.clear();
+            others.extend((0..n).filter(|&w| w != c.node));
             others.shuffle(net.rng(c.node));
             for &w in others.iter().take(k) {
                 net.send(c.node, w, LeMessage::Rank(c.rank))?;
@@ -216,7 +215,7 @@ impl LeaderElection for QuantumLe {
         let epsilon = (k as f64 / n as f64).min(1.0);
         let mut max_quantum_rounds = 0u64;
         for c in &candidates {
-            let mut oracle = HigherRankOracle::new(*c, n, max_received.clone());
+            let mut oracle = HigherRankOracle::new(*c, &max_received);
             let outcome = distributed_grover_search(&mut net, c.node, &mut oracle, epsilon, alpha)?;
             max_quantum_rounds = max_quantum_rounds.max(outcome.rounds);
             statuses[c.node] = if outcome.found.is_none() {

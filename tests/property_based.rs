@@ -11,6 +11,7 @@ use quantum_sim::johnson::JohnsonGraph;
 use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// A random normalised AoS amplitude vector — the naive-reference input for
 /// the SoA kernel properties.
@@ -172,6 +173,62 @@ proptest! {
         prop_assert_eq!(metrics.classical_messages, sent);
         prop_assert_eq!(metrics.total_messages(), metrics.classical_messages + metrics.quantum_messages);
         prop_assert!(metrics.rounds >= sends as u64);
+    }
+
+    /// The CONGEST edge-busy check — dense pages for low-degree senders, the
+    /// round-tagged sparse set for high-degree ones, escalation between
+    /// them — accepts and rejects exactly what a plain set of
+    /// `(from, port, round)` triples does, over random degrees, sends,
+    /// broadcasts, round advances and skipped rounds.
+    #[test]
+    fn edge_busy_matches_a_reference_set(n in 2usize..300, ops in 1usize..3000, seed in 0u64..1000) {
+        let graph = if seed % 2 == 0 {
+            topology::complete(n).unwrap()
+        } else {
+            topology::star(n).unwrap()
+        };
+        let mut net: Network<u64> = Network::new(graph.clone(), NetworkConfig::with_seed(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut used: HashSet<(usize, usize, u64)> = HashSet::new();
+        let mut round = 0u64;
+        for _ in 0..ops {
+            let draw: f64 = rng.gen();
+            // A few busy senders, so single nodes send many messages per
+            // round and cross their escalation thresholds.
+            let v = if rng.gen_bool(0.8) { rng.gen_range(0..n.min(2)) } else { rng.gen_range(0..n) };
+            let degree = graph.degree(v);
+            if draw < 0.005 {
+                net.advance_round();
+                round += 1;
+            } else if draw < 0.007 {
+                let skip = rng.gen_range(1..5);
+                net.advance_round();
+                net.skip_rounds(skip);
+                round += 1 + skip;
+            } else if draw < 0.01 {
+                let got = net.broadcast(v, 0).is_ok();
+                let busy_port = (0..degree).find(|&p| used.contains(&(v, p, round)));
+                let sent_ports = busy_port.unwrap_or(degree);
+                used.extend((0..sent_ports).map(|p| (v, p, round)));
+                prop_assert_eq!(got, busy_port.is_none());
+            } else {
+                let port = if rng.gen_bool(0.3) { rng.gen_range(0..degree.min(8)) } else { rng.gen_range(0..degree + 1) };
+                let got = match net.send_through_port(v, port, 0) {
+                    Ok(()) => "ok",
+                    Err(congest_net::Error::EdgeBusy { .. }) => "busy",
+                    Err(congest_net::Error::PortOutOfRange { .. }) => "range",
+                    Err(e) => panic!("unexpected error {e:?}"),
+                };
+                let expected = if port >= degree {
+                    "range"
+                } else if used.insert((v, port, round)) {
+                    "ok"
+                } else {
+                    "busy"
+                };
+                prop_assert_eq!(got, expected);
+            }
+        }
     }
 
     /// Candidate sampling satisfies Fact C.2 for (essentially) every seed.

@@ -78,6 +78,58 @@ fn steady_state_rounds_do_not_allocate() {
     assert!(runtime.metrics().classical_messages > 64 * 4 * 300);
 }
 
+/// A program on a high-degree graph that sends on a few rotating ports per
+/// round: every send goes through the sparse edge-busy set (too few per
+/// round to escalate to a dense page), whose capacity must be reused.
+#[derive(Debug)]
+struct Whisper;
+
+impl NodeProgram for Whisper {
+    type Msg = u64;
+
+    fn on_start(&mut self, _ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
+        outbox.send(0, 0);
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &mut RoundContext<'_>,
+        _incoming: &[(Port, u64)],
+        outbox: &mut Outbox<u64>,
+    ) {
+        for i in 0..3 {
+            let port = ctx.node + ctx.round as usize * 7 + i * 31;
+            outbox.send(port % ctx.degree, ctx.round);
+        }
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn steady_state_sparse_edge_busy_rounds_do_not_allocate() {
+    let graph = topology::complete(128).unwrap();
+    let mut runtime =
+        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| Whisper);
+    runtime.start().unwrap();
+    for _ in 0..50 {
+        runtime.step().unwrap();
+    }
+    let ((), m) = support::measured(|| {
+        for _ in 0..300 {
+            runtime.step().unwrap();
+        }
+    });
+    assert_eq!(
+        m.allocations, 0,
+        "steady-state sparse rounds allocated {} times",
+        m.allocations
+    );
+    assert!(runtime.metrics().classical_messages > 128 * 3 * 300);
+}
+
 /// The tracker's peak-bytes gauge plugs into the telemetry sidecar's
 /// optional `peak_bytes` field: it rides in the wall (non-deterministic)
 /// half of the report, renders in the JSONL schema as a number, and never
