@@ -11,9 +11,7 @@
 //! the same workloads come from `experiments --bench-network`, which writes
 //! `BENCH_network.json`.
 
-use bench_harness::network_bench::{
-    flood_legacy, flood_modern, flood_sharded, ghs_modern, standard_topologies, BENCH_SHARDS,
-};
+use bench_harness::network_bench::{flood_legacy, flood_modern, ghs_modern, standard_topologies};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_flood_engines(c: &mut Criterion) {
@@ -21,14 +19,10 @@ fn bench_flood_engines(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    let sharded = format!("csr-mt{BENCH_SHARDS}");
     for &n in &[1024usize, 4096] {
         for (label, graph) in standard_topologies(n) {
             group.bench_with_input(BenchmarkId::new("csr", &label), &graph, |b, g| {
                 b.iter(|| flood_modern(g));
-            });
-            group.bench_with_input(BenchmarkId::new(&sharded, &label), &graph, |b, g| {
-                b.iter(|| flood_sharded(g, BENCH_SHARDS));
             });
             group.bench_with_input(BenchmarkId::new("legacy", &label), &graph, |b, g| {
                 b.iter(|| flood_legacy(g));

@@ -27,7 +27,7 @@
 //!     # aggregated per protocol × fault class; writes scorecard.txt to --out
 //! cargo run --release -p bench-harness --bin experiments -- --profile examples/scenarios
 //!     # run the matrix with the telemetry sidecar on: per-cell wall times,
-//!     # phase breakdown, shard utilization, round histograms; writes
+//!     # phase breakdown, round histograms; writes
 //!     # telemetry.jsonl (+ the usual results/traces) to --out
 //! ```
 
@@ -71,12 +71,7 @@ fn run_network_bench() {
     // tighten the minimum and keep the CI speedup gate stable on noisy
     // (shared/timesliced) hosts.
     let runs = 9;
-    let workers = rayon::current_num_threads();
-    println!(
-        "network_core round-engine benchmark (n = {n}, {runs} timed runs each, \
-         {workers} pool worker(s), sharded engine uses {} shards)\n",
-        network_bench::bench_shards()
-    );
+    println!("network_core round-engine benchmark (n = {n}, {runs} timed runs each)\n");
     let threshold = gate::speedup_threshold("BENCH_NETWORK_MIN_SPEEDUP");
     let (mut records, aggregate) = gate::measure_best_of(threshold, || {
         let records = network_bench::measure_all(n, runs);
@@ -122,7 +117,6 @@ fn run_network_bench() {
         }
         seen
     };
-    let sharded = format!("csr-mt{}", network_bench::bench_shards());
     for label in labels {
         let of = |engine: &str| {
             records
@@ -136,30 +130,9 @@ fn run_network_bench() {
                 legacy as f64 / csr as f64
             );
         }
-        if let (Some(csr), Some(mt)) = (of("csr"), of(&sharded)) {
-            println!(
-                "flood {label}: {:.2}x speedup ({sharded} vs csr)",
-                csr as f64 / mt as f64
-            );
-        }
     }
-    let total = |engine: &str| -> u128 {
-        records
-            .iter()
-            .filter(|r| r.workload == "flood" && r.engine == engine)
-            .map(|r| r.ns_per_run)
-            .sum()
-    };
-    let (csr_total, sharded_total) = (total("csr"), total(&sharded));
-    if csr_total > 0 {
+    if aggregate > 0.0 {
         println!("flood aggregate (all topologies): {aggregate:.2}x speedup (csr vs legacy)");
-    }
-    if sharded_total > 0 {
-        println!(
-            "flood aggregate (all topologies): {:.2}x speedup ({sharded} vs csr; needs >= {} cores to scale)",
-            csr_total as f64 / sharded_total as f64,
-            network_bench::bench_shards()
-        );
     }
     let json = network_bench::to_json(&records);
     std::fs::write("BENCH_network.json", &json).expect("write BENCH_network.json");
@@ -447,12 +420,12 @@ fn fmt_nanos(nanos: u64) -> String {
 /// Runs the profiling mode: `--profile <spec|dir> [--out <dir>]`. The whole
 /// matrix runs with the telemetry sidecar enabled (`docs/OBSERVABILITY.md`);
 /// stdout gets the results table with the wall(ms) column plus a per-cell
-/// summary (round wall-time percentiles, phase breakdown, shard imbalance),
+/// summary (round wall-time percentiles, phase breakdown),
 /// and the output directory gets `results.txt` and `traces.txt` (both fully
 /// deterministic, as in `--scenarios`), `telemetry.jsonl` (one full report
 /// per cell, wall fields segregated under `"wall"`), and
-/// `telemetry-deterministic.txt` (the shard-invariant projection of the
-/// same reports — what CI diffs byte-for-byte across `CONGEST_SHARDS`).
+/// `telemetry-deterministic.txt` (the deterministic projection of the same
+/// reports, byte-identical on every re-run).
 fn run_profile(rest: &[String]) -> Result<(), String> {
     let mut path: Option<&str> = None;
     let mut out_dir = "profile-out".to_string();
@@ -506,14 +479,6 @@ fn run_profile(rest: &[String]) -> Result<(), String> {
                 );
             }
             println!();
-        }
-        if wall.shard_count > 1 {
-            println!(
-                "  shards: {}, imbalance {:.2}x, adaptive-sequential rounds {}",
-                wall.shard_count,
-                report.shard_imbalance(),
-                wall.adaptive_sequential_rounds
-            );
         }
         if matches!(r.cell.mode, congest_net::ExecMode::Event(_)) {
             println!(
@@ -639,7 +604,7 @@ fn run_experiments(requested: &[String]) {
     println!(
         "Quantum Communication Advantage for Leader Election and Agreement — experiment suite"
     );
-    println!("(message counts are measured on the CONGEST simulator; see EXPERIMENTS.md)\n");
+    println!("(message counts are measured on the CONGEST simulator)\n");
     for (name, experiment) in experiments {
         if run_all || requested.iter().any(|r| r == name) {
             let start = std::time::Instant::now();
@@ -683,20 +648,16 @@ USAGE:
         [--out <dir>]                        output directory for scorecard.txt, results.txt,
                                              and baseline.txt (default: scorecard-out)
     experiments --profile <spec|dir>         run a scenario matrix with the telemetry sidecar
-                                             on: per-cell wall times, phase breakdown, shard
-                                             utilization, and round histograms (see
-                                             docs/OBSERVABILITY.md)
+                                             on: per-cell wall times, phase breakdown, and
+                                             round histograms (see docs/OBSERVABILITY.md)
         [--out <dir>]                        output directory for results.txt, traces.txt,
                                              telemetry.jsonl, and telemetry-deterministic.txt
                                              (default: profile-out)
     experiments --help                       this text
 
 ENVIRONMENT:
-    CONGEST_SHARDS=<k>               worker shards for auto-configured networks
-                                     (default 1 = sequential; metrics and traces
-                                     are byte-identical for every k)
-    RAYON_NUM_THREADS=<t>            thread-pool size for sweeps, scenario cells,
-                                     and sharded rounds (default: available cores)
+    RAYON_NUM_THREADS=<t>            thread-pool size for sweeps and scenario
+                                     cells (default: available cores)
     CONGEST_TELEMETRY=1              turn the telemetry sidecar on for --scenarios
                                      and --scorecard cells too (--profile always
                                      enables it; any other value = off; never
@@ -705,8 +666,6 @@ ENVIRONMENT:
     CONGEST_CACHE=<dir>              default cell-cache directory for --scenarios
                                      and --serve when --cache-dir is not given
                                      (empty/unset = no caching)
-    BENCH_SHARDS=<k>                 shard count for the csr-mt bench records
-                                     (default 4; --bench-network only)
     BENCH_LARGE_N=0                  skip the million-node implicit tier
                                      (--bench-network only; CI always runs it)
     BENCH_NETWORK_MIN_SPEEDUP=<x>    fail --bench-network if the aggregate
@@ -716,11 +675,10 @@ ENVIRONMENT:
                                      soa-vs-legacy speedup drops below x
                                      (CI sets 1.3; unset = record only)
 
-Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
-byte-identically at any other (the deterministic barrier-merge invariant).
-Specs may mix round-mode and event-mode scenarios in one matrix: `mode =
-\"event\"` plus a `scheduler = [name, bound, seed]` stanza runs its cells on
-the discrete-event engine under that scheduler adversary (see
+Traces replay byte-identically on every later run of the same build. Specs may
+mix round-mode and event-mode scenarios in one matrix: `mode =
+\"event\"` plus a `scheduler = [name, bound, seed]` stanza runs its cells in
+the discrete-event mode under that scheduler adversary (see
 docs/EXECUTION_MODELS.md); replay covers both modes."
     );
 }

@@ -1,5 +1,5 @@
-//! The experiment suite E1–E10 (see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded results).
+//! The experiment suite E1–E10 (the README shows how to run it; the
+//! `experiments` binary prints every table).
 //!
 //! Every experiment returns an [`ExperimentTable`] whose rows are measured on
 //! the metered CONGEST simulator. Message counts follow the paper's
@@ -10,8 +10,8 @@
 //! The quantum protocols are run in their constant-success configuration
 //! (`α = 1/4`) for the scaling sweeps: the paper's `α = 1/n²` setting only
 //! changes the measured counts by an explicit `O(log n)` amplification factor
-//! but would otherwise dominate the constants at simulable sizes (this
-//! substitution and its effect are documented in EXPERIMENTS.md).
+//! but would otherwise dominate the constants at simulable sizes (each
+//! affected table states the substitution in its notes).
 
 use classical_baselines::{
     AmpSharedCoinAgreement, CprDiameterTwoLe, GhsLe, KppCompleteLe, KppMixingLe,
@@ -118,7 +118,7 @@ pub fn e1_complete_le() -> ExperimentTable {
         normalise(&q_points),
         normalise(&c_points)
     ));
-    table.push_note("quantum run in constant-success mode (α = 1/4); see EXPERIMENTS.md for the α = 1/n² counts");
+    table.push_note("quantum run in constant-success mode (α = 1/4)");
     table
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every complexity claim of
 //! *Quantum Communication Advantage for Leader Election and Agreement*
-//! (PODC 2025). Each experiment (E1–E10, see DESIGN.md and EXPERIMENTS.md)
-//! runs a quantum protocol and its classical comparator over a sweep of
+//! (PODC 2025). Each experiment (E1–E10, listed in the [`experiments`]
+//! module and run as the README shows) runs a quantum protocol and its classical comparator over a sweep of
 //! network sizes on the metered CONGEST simulator, records the measured
 //! message and round complexity, and fits the scaling exponent so the
 //! *shape* of each theorem (who wins, with what exponent) can be checked.

@@ -1,30 +1,19 @@
-//! Round-engine throughput measurement: modern CSR engine (sequential and
-//! sharded) vs the frozen [`legacy`] engine, plus GHS as a
-//! heavier protocol load.
+//! Round-engine throughput measurement: the modern CSR engine vs the frozen
+//! [`legacy`] engine, plus GHS as a heavier protocol load.
 //!
 //! Used two ways:
 //!
 //! * the `network_core` criterion bench wraps [`flood_modern`] /
-//!   [`flood_sharded`] / [`flood_legacy`] / [`ghs_modern`] in its timing
-//!   harness,
+//!   [`flood_legacy`] / [`ghs_modern`] in its timing harness,
 //! * `experiments --bench-network` calls [`measure_all`] and writes the
-//!   results to `BENCH_network.json`, so the performance trajectory of the
-//!   round engine is tracked in-repo from this PR onward.
-//!
-//! The sharded engine (`csr-mtK` records, `K` worker shards on the
-//! persistent `rayon` pool) is byte-identical to `csr` in rounds and
-//! messages — the determinism suite pins that — so the records differ only
-//! in wall-clock time. Its speedup over `csr` is hardware-dependent:
-//! dispatch costs a few microseconds per round, so it needs both real cores
-//! (≥ the shard count) and enough per-round work to amortise the barrier;
-//! on a single-CPU host it degrades gracefully to roughly sequential speed.
+//!   results to `BENCH_network.json`.
 
 use std::time::Instant;
 
 use classical_baselines::GhsLe;
 use congest_net::programs::{Flood, FloodFt};
 use congest_net::{topology, Graph, Network, NetworkConfig, SyncRuntime};
-use qle::{LeaderElection, RunOptions};
+use qle::LeaderElection;
 
 use crate::legacy;
 
@@ -49,24 +38,6 @@ pub fn standard_topologies(n: usize) -> Vec<(String, Graph)> {
     ]
 }
 
-/// Default number of worker shards for the sharded-engine benchmark records
-/// (see [`bench_shards`]).
-pub const BENCH_SHARDS: usize = 4;
-
-/// Number of worker shards used for the sharded-engine benchmark records:
-/// the `BENCH_SHARDS` environment variable if set to a positive integer,
-/// otherwise [`BENCH_SHARDS`] (4). Lets a multi-core host probe scaling
-/// without a rebuild; the CI gate only reads the sequential records, so the
-/// knob cannot weaken the speedup floor.
-#[must_use]
-pub fn bench_shards() -> usize {
-    std::env::var("BENCH_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(BENCH_SHARDS)
-}
-
 /// One flood run on the modern engine; returns `(rounds, messages)`.
 #[must_use]
 pub fn flood_modern(graph: &Graph) -> (u64, u64) {
@@ -74,22 +45,6 @@ pub fn flood_modern(graph: &Graph) -> (u64, u64) {
         Flood::new(v == 0)
     });
     let rounds = runtime.run_until_halt(1_000_000).expect("flood run");
-    (rounds, runtime.metrics().classical_messages)
-}
-
-/// One flood run on the modern engine with `shards` worker shards; returns
-/// `(rounds, messages)` — byte-identical to [`flood_modern`] by the
-/// deterministic-merge invariant.
-#[must_use]
-pub fn flood_sharded(graph: &Graph, shards: usize) -> (u64, u64) {
-    let mut runtime = SyncRuntime::new(
-        graph.clone(),
-        NetworkConfig::with_seed(0).shards(shards),
-        |v, _| Flood::new(v == 0),
-    );
-    let rounds = runtime
-        .run_until_halt(1_000_000)
-        .expect("sharded flood run");
     (rounds, runtime.metrics().classical_messages)
 }
 
@@ -105,28 +60,6 @@ pub fn flood_legacy(graph: &Graph) -> (u64, u64) {
 #[must_use]
 pub fn ghs_modern(graph: &Graph, seed: u64) -> (u64, u64) {
     let run = GhsLe::new().run(graph, seed).expect("ghs run");
-    (run.cost.metrics.rounds, run.cost.metrics.total_messages())
-}
-
-/// One GHS run with the network configured for `shards` worker shards;
-/// returns `(rounds, messages)` — byte-identical to [`ghs_modern`].
-///
-/// GHS is a *driver-based* protocol: it sends through the `Network` handle
-/// from the calling thread, so today the shard configuration only changes
-/// the barrier bookkeeping, not the execution. The `csr-mtK` record this
-/// feeds is the **baseline** for the merge-free-scaling follow-up (making
-/// driver-based protocols runtime-driven so they actually fan out); any
-/// future speedup shows up as this record diverging from `csr`.
-#[must_use]
-pub fn ghs_sharded(graph: &Graph, seed: u64, shards: usize) -> (u64, u64) {
-    let opts = RunOptions {
-        shards,
-        ..RunOptions::default()
-    };
-    let run = GhsLe::new()
-        .run_with(graph, seed, &opts)
-        .expect("sharded ghs run")
-        .run;
     (run.cost.metrics.rounds, run.cost.metrics.total_messages())
 }
 
@@ -264,20 +197,9 @@ pub fn measure_all(n: usize, runs: u32) -> Vec<BenchRecord> {
                 ns_per_run: ns,
             });
         };
-        let shards = bench_shards();
         push("flood", "csr", time_runs(runs, || flood_modern(&graph)));
-        push(
-            "flood",
-            &format!("csr-mt{shards}"),
-            time_runs(runs, || flood_sharded(&graph, shards)),
-        );
         push("flood", "legacy", time_runs(runs, || flood_legacy(&graph)));
         push("ghs", "csr", time_runs(runs, || ghs_modern(&graph, 1)));
-        push(
-            "ghs",
-            &format!("csr-mt{shards}"),
-            time_runs(runs, || ghs_sharded(&graph, 1, shards)),
-        );
     }
     records
 }
@@ -388,30 +310,13 @@ mod tests {
 
     #[test]
     fn engines_agree_on_counts() {
-        let graph = topology::cycle(64).unwrap();
-        let modern = flood_modern(&graph);
-        let legacy = flood_legacy(&graph);
-        assert_eq!(modern, legacy);
-        for shards in [2usize, BENCH_SHARDS, 8] {
-            assert_eq!(flood_sharded(&graph, shards), modern, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_agrees_on_every_standard_topology() {
         for (label, graph) in standard_topologies(256) {
             assert_eq!(
-                flood_sharded(&graph, BENCH_SHARDS),
                 flood_modern(&graph),
+                flood_legacy(&graph),
                 "topology {label}"
             );
         }
-    }
-
-    #[test]
-    fn ghs_sharded_agrees_with_sequential() {
-        let graph = topology::random_regular(96, 8, 7).unwrap();
-        assert_eq!(ghs_sharded(&graph, 1, BENCH_SHARDS), ghs_modern(&graph, 1));
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //! the set into the new page, so they stay busy.
 //!
 //! Either way, every node's state for the current round sits in exactly one
-//! place: its page if it has one, otherwise the sparse set of the shard that
-//! owns it. Accept/reject decisions are therefore the same for every
-//! representation and every shard count.
+//! place: its page if it has one, otherwise the network's sparse set.
+//! Accept/reject decisions are therefore the same for every representation.
 
 use crate::graph::{NodeId, Port};
 
@@ -138,8 +137,7 @@ impl RoundTable {
 
 /// The busy `(from, port)` pairs of high-degree senders without a dense
 /// page, plus how many messages each of them sent this round. Owned by the
-/// network (one per shard), sized by the peak number of such sends in one
-/// round.
+/// network, sized by the peak number of such sends in one round.
 #[derive(Debug)]
 pub(crate) struct SparseBusy {
     /// Keys `from << 32 | port`.
@@ -200,22 +198,20 @@ impl SparseBusy {
 
 /// Marks the directed edge `(from, port)` busy for `round`, returning
 /// `false` iff it already carried a message this round. `page` is `from`'s
-/// dense page (empty if it has none); `sparse` is the set of the shard that
-/// owns `from`. Shared by the sequential and sharded send paths so both
-/// enforce CONGEST identically. The set and the degree are closures so a
-/// sender with a page never pays for resolving either, and only the page
-/// compare is inlined into the send path.
+/// dense page (empty if it has none); `sparse` is the network's set. The
+/// degree is a closure so a sender with a page never pays for resolving
+/// it, and only the page compare is inlined into the send path.
 #[inline]
-pub(crate) fn try_stamp<'s>(
+pub(crate) fn try_stamp(
     page: &mut Box<[u64]>,
-    sparse: impl FnOnce() -> &'s mut SparseBusy,
+    sparse: &mut SparseBusy,
     degree: impl FnOnce() -> usize,
     from: NodeId,
     port: Port,
     round: u64,
 ) -> bool {
     if page.is_empty() {
-        return stamp_without_page(page, sparse(), degree(), from, port, round);
+        return stamp_without_page(page, sparse, degree(), from, port, round);
     }
     let stamp = &mut page[port];
     if *stamp == round {
@@ -249,9 +245,9 @@ fn stamp_without_page(
 /// escalate it anyway, so the batch skips the set. A no-op for senders that
 /// already have a page and for batches below every escalation threshold.
 #[inline]
-pub(crate) fn reserve<'s>(
+pub(crate) fn reserve(
     page: &mut Box<[u64]>,
-    sparse: impl FnOnce() -> &'s SparseBusy,
+    sparse: &SparseBusy,
     degree: impl FnOnce() -> usize,
     from: NodeId,
     sends: usize,
@@ -260,7 +256,7 @@ pub(crate) fn reserve<'s>(
     if sends > DENSE_MAX_DEGREE && page.is_empty() {
         let degree = degree();
         if sends > escalation_threshold(degree) {
-            *page = sparse().dense_page(from, degree, round);
+            *page = sparse.dense_page(from, degree, round);
         }
     }
 }
@@ -323,14 +319,7 @@ mod tests {
         let threshold = escalation_threshold(degree);
         for port in 0..=threshold {
             assert!(page.is_empty());
-            assert!(try_stamp(
-                &mut page,
-                || &mut busy,
-                || degree,
-                1,
-                3 * port,
-                4
-            ));
+            assert!(try_stamp(&mut page, &mut busy, || degree, 1, 3 * port, 4));
         }
         assert_eq!(page.len(), degree);
         for port in 0..degree {

@@ -49,20 +49,18 @@
 //! the uniform drop lottery would run, so the drop stream is not consumed
 //! for them.
 //!
-//! # Determinism and the barrier merge
+//! # Determinism at the barrier
 //!
 //! Fault decisions are made exclusively inside
 //! [`Network::advance_round`](crate::Network::advance_round), in **delivery
-//! order** — the sequential pending buffer first, then each shard's outbox
-//! queue in shard order. That order is byte-identical for every shard count
-//! (the deterministic barrier-merge invariant of the crate docs), so the
-//! drop PRNG stream, every fault decision, the fault counters in
-//! [`Metrics`](crate::Metrics), and the emitted [`TraceEvent`]s are
-//! byte-identical for every shard count too. Messages delayed by link
-//! latency are parked on a cross-round heap keyed by
+//! order** — the order the pending buffer was filled in. That order depends
+//! only on the seed, so the drop PRNG stream, every fault decision, the
+//! fault counters in [`Metrics`](crate::Metrics), and the emitted
+//! [`TraceEvent`]s are byte-identical on every re-run. Messages delayed by
+//! link latency are parked on a cross-round heap keyed by
 //! `(due round, delivery-order sequence number)` — the sequence number is
 //! assigned in that same deterministic delivery order, so the drain order at
-//! a later barrier is also byte-identical for every shard count. The
+//! a later barrier is reproducible too. The
 //! workspace fault-plane test suite pins this, together with the stronger
 //! property that installing an *empty* plan leaves a run byte-identical to
 //! the pristine fault-free path.
@@ -684,8 +682,8 @@ impl FaultState {
         self.down_until[v] == self.clock && self.down_from[v] < self.clock
     }
 
-    /// The per-node down windows, for handing shard views (and round
-    /// contexts) a read-only view.
+    /// The per-node down windows, for handing round contexts a read-only
+    /// view.
     pub(crate) fn down_windows(&self) -> (&[u64], &[u64]) {
         (&self.down_from, &self.down_until)
     }
@@ -709,7 +707,7 @@ impl FaultState {
     /// Returns `None` (payload untouched, no randomness consumed) outside a
     /// window, and whatever [`Payload::mutate`] returns inside one — called
     /// once per surviving message in delivery order, so the mutation stream
-    /// is byte-identical for every shard count.
+    /// is reproducible.
     pub(crate) fn mutate_payload<M: Payload>(&mut self, from: NodeId, msg: &M) -> Option<M> {
         if !self.byzantine_at(from, self.clock) {
             return None;
@@ -733,8 +731,7 @@ impl FaultState {
     /// positions, in delivery order) with the dedicated adversary stream,
     /// returned sorted so the judging loop can consume them with a cursor.
     /// The stream advances identically for identical candidate lists —
-    /// even when every candidate is struck — so shard counts cannot
-    /// diverge.
+    /// even when every candidate is struck.
     pub(crate) fn select_strikes(&mut self, mut candidates: Vec<usize>) -> Vec<usize> {
         let k = self.adversary_k.min(candidates.len());
         if k == 0 {

@@ -26,7 +26,7 @@
 //!
 //! **Implicit backend** (structured families: complete, star, cycle,
 //! hypercube, torus): no adjacency is stored at all. `neighbors`, `edge_id`,
-//! `reverse_port`, and `shard_boundaries` are computed on the fly from the
+//! and `reverse_port` are computed on the fly from the
 //! family's closed-form port map, chosen to reproduce the CSR
 //! sorted-neighbour numbering exactly. Graph memory is O(1), so a
 //! million-node `complete` — ~4 TB as CSR — costs a few machine words.
@@ -654,8 +654,7 @@ impl Graph {
     /// The first directed edge slot of node `v`; `v = n` is allowed and
     /// yields `2m`. Together with [`edge_id`](Graph::edge_id) this makes
     /// `first_edge_id(v)..first_edge_id(v + 1)` the edge-id range owned by
-    /// `v` — the contiguity that lets the sharded round engine hand each
-    /// shard a disjoint node range with a disjoint edge-id range.
+    /// `v`.
     ///
     /// # Panics
     ///
@@ -670,53 +669,6 @@ impl Graph {
                 family.first_edge_id(v)
             }
         }
-    }
-
-    /// Partitions the nodes into `shards` contiguous ranges balanced by
-    /// **directed-edge count** (per-round simulation work is proportional to
-    /// sends plus deliveries, i.e. to degree sums, not node counts).
-    ///
-    /// Returns `k + 1` fenceposts `b_0 = 0 < b_1 < … < b_k = n`; shard `s`
-    /// owns nodes `b_s..b_{s+1}` and (by the edge-id layout) the contiguous
-    /// directed edge ids `first_edge_id(b_s)..first_edge_id(b_{s+1})`. The
-    /// effective shard count `k` is `shards` clamped to `1..=n`, so every
-    /// shard is non-empty. Deterministic: depends only on the graph — and
-    /// identical across backends, because both compute the same
-    /// partition point of the same offset sequence.
-    #[must_use]
-    pub fn shard_boundaries(&self, shards: usize) -> Vec<usize> {
-        let n = self.node_count();
-        let k = shards.clamp(1, n);
-        let total = self.directed_edge_count();
-        let mut bounds = Vec::with_capacity(k + 1);
-        bounds.push(0);
-        for s in 1..k {
-            let target = total * s / k;
-            // Smallest cut with at least `target` directed edges below it,
-            // clamped so that every shard keeps at least one node.
-            let cut = match &self.backend {
-                Backend::Csr { offsets, .. } => offsets.partition_point(|&o| o < target),
-                Backend::Implicit(family) => {
-                    // partition_point over the implied offsets 0..=n: the
-                    // count of v with first_edge_id(v) < target, found by
-                    // binary search on the monotone closed form.
-                    let (mut lo, mut hi) = (0usize, n + 1);
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        if family.first_edge_id(mid) < target {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo
-                }
-            }
-            .clamp(bounds[s - 1] + 1, n - (k - s));
-            bounds.push(cut);
-        }
-        bounds.push(n);
-        bounds
     }
 
     /// The node a directed edge slot points at: for `e = edge_id(v, p)` this
@@ -1218,38 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_boundaries_partition_nodes_and_edges() {
-        let star = Graph::from_edges(9, &(1..9).map(|v| (0, v)).collect::<Vec<_>>()).unwrap();
-        let cycle: Vec<_> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
-        let ring = Graph::from_edges(12, &cycle).unwrap();
-        for g in [star, ring] {
-            let n = g.node_count();
-            for k in [1usize, 2, 3, 4, 7, 64] {
-                let bounds = g.shard_boundaries(k);
-                assert_eq!(bounds.len() - 1, k.clamp(1, n));
-                assert_eq!(*bounds.first().unwrap(), 0);
-                assert_eq!(*bounds.last().unwrap(), n);
-                assert!(bounds.windows(2).all(|w| w[0] < w[1]), "empty shard");
-                // Edge ranges tile the directed-edge domain.
-                let edges: usize = bounds
-                    .windows(2)
-                    .map(|w| g.first_edge_id(w[1]) - g.first_edge_id(w[0]))
-                    .sum();
-                assert_eq!(edges, g.directed_edge_count());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_boundaries_balance_edges_on_regular_graphs() {
-        // On a cycle every node has degree 2, so a balanced split by edges is
-        // a balanced split by nodes.
-        let cycle: Vec<_> = (0..16).map(|i| (i, (i + 1) % 16)).collect();
-        let g = Graph::from_edges(16, &cycle).unwrap();
-        assert_eq!(g.shard_boundaries(4), vec![0, 4, 8, 12, 16]);
-    }
-
-    #[test]
     fn edge_ids_cover_the_csr_domain() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         assert_eq!(g.directed_edge_count(), 2 * g.edge_count());
@@ -1267,8 +1187,8 @@ mod tests {
     #[test]
     fn implicit_families_match_their_materialization_exactly() {
         // The whole backend contract in one sweep: adjacency, port
-        // numbering, edge-id layout, reverse ports, and shard boundaries of
-        // every implicit instance agree with an independently constructed
+        // numbering, edge-id layout, and reverse ports of every implicit
+        // instance agree with an independently constructed
         // CSR graph over the same edge set.
         for g in implicit_zoo() {
             assert!(g.is_implicit());
@@ -1298,13 +1218,6 @@ mod tests {
                 }
             }
             assert_eq!(g.first_edge_id(g.node_count()), g.directed_edge_count());
-            for k in [1usize, 2, 3, 4, 7, 64] {
-                assert_eq!(
-                    g.shard_boundaries(k),
-                    csr.shard_boundaries(k),
-                    "shard_boundaries({k})"
-                );
-            }
         }
     }
 

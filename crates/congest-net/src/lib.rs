@@ -61,7 +61,7 @@
 //! dense *stamp page* on its first send: `deg(v)` round stamps, one per
 //! port, and a port is busy iff its stamp equals the current `round_stamp`.
 //! A higher-degree sender instead records its busy `(from, port)` pairs in
-//! an open-addressed set owned by its shard, whose slots are tagged with the
+//! one open-addressed set owned by the network, whose slots are tagged with the
 //! round that wrote them; once it sends more than `max(64, deg/16)` messages
 //! in one round it escalates to a dense page, and the pairs it already used
 //! that round are copied into the page. A broadcast, and a runtime outbox
@@ -77,8 +77,8 @@
 //! round can never compare equal again — stale pages and slots need no
 //! clearing, and the set keeps its capacity across rounds. At any moment a
 //! node's busy ports for the current round live in exactly one place (its
-//! page if it has one, else its owner shard's set), so accept/reject
-//! decisions do not depend on the representation or on the shard count.
+//! page if it has one, else the set), so accept/reject decisions do not
+//! depend on the representation.
 //!
 //! ## 3. Double-buffered inboxes and outboxes
 //!
@@ -94,62 +94,18 @@
 //! steady state is a regression (the `network_core` bench and the
 //! determinism suite in the workspace root guard this).
 //!
-//! ## 4. Sharded round execution with a deterministic barrier merge
-//!
-//! [`SyncRuntime`] can execute a round with `k`
-//! worker shards on the `rayon` shim's persistent thread pool
-//! ([`NetworkConfig::shards`], or the `CONGEST_SHARDS` environment variable;
-//! `k = 1` — the default — is exactly the sequential path above). Nodes are
-//! partitioned into `k` contiguous ranges balanced by directed-edge count
-//! ([`Graph::shard_boundaries`]), and each shard receives an exclusive
-//! [`ShardView`]: its nodes' inboxes and private RNG streams, its own outbox
-//! queue and send counters, a contiguous, disjoint slice of the stamp pages
-//! covering precisely its nodes' outgoing directed edges, and its own
-//! sparse edge-busy set (which the sequential path also uses for the
-//! shard's nodes). A shard only ever sends
-//! from its own nodes, so **CONGEST edge-busy enforcement never touches
-//! another shard's stamps**, and the `rev_port` table resolves every arrival
-//! port at send time, so delivery needs no receiver-side coordination
-//! either; a round body is entirely synchronisation-free.
-//!
-//! **Invariant (deterministic barrier merge):** at the round barrier,
-//! [`Network::advance_round`] drains the sequential pending buffer first and
-//! then every shard's outbox queue *in shard order*. Shards fill their
-//! queues in node order over contiguous, ascending node ranges, so the
-//! concatenation equals the global node-order send sequence of the
-//! sequential engine — inbox contents, [`Metrics`], per-round history
-//! (per-shard counters are absorbed in shard order), and every per-node RNG
-//! stream are **byte-identical for every shard count**. The determinism
-//! suite pins this at shard counts {1, 2, 4, 8} and CI re-runs the whole
-//! test suite with `CONGEST_SHARDS=4`. Anything that makes behaviour depend
-//! on shard count — sends merged out of node order, counters folded out of
-//! shard order, an RNG stream shared across nodes — is a regression. (The
-//! invariant is scoped to error-free executions: a send error — always a
-//! protocol bug — aborts the round before the barrier under any shard
-//! count, with the lowest shard's error reported deterministically, but
-//! which *other* nodes ran before the error surfaced differs.)
-//!
-//! Sharded rounds allocate O(k) task envelopes for pool dispatch (the
-//! zero-allocation guarantee of §3 is a property of the sequential path);
-//! the per-message hot paths stay allocation-free, and speedup requires
-//! real cores and enough per-round work to amortise the barrier. Because
-//! both paths are byte-identical, the runtime schedules **adaptively**:
-//! rounds that delivered fewer than
-//! [`runtime::ADAPTIVE_SEQUENTIAL_THRESHOLD`] messages run on the calling
-//! thread even with `k > 1` — the switch can only trade wall-clock time.
-//!
-//! ## 5. Fault injection at the barrier
+//! ## 4. Fault injection at the barrier
 //!
 //! A [`FaultPlan`] (seeded per-message drops, per-link outage windows,
 //! per-link latency, crash-stop nodes, and crash-recovery windows) can be
 //! installed on any network ([`Network::set_fault_plan`]). All fault
 //! decisions are made inside [`Network::advance_round`] in **delivery
-//! order** — exactly the deterministic merge order of §4 — so a faulty run
-//! is byte-identical for every shard count, and for a fixed plan it is
-//! exactly as reproducible as a fault-free one. Dropped messages count as
+//! order** — the order the runtime's node loop sent them in — so for a
+//! fixed plan a faulty run is exactly as reproducible as a fault-free one.
+//! Dropped messages count as
 //! sent (the sender paid for them) and are tallied separately in
-//! [`Metrics::dropped_messages`]; crashed nodes are skipped by both round
-//! engines and counted in [`Metrics::crashed_nodes`]. An optional
+//! [`Metrics::dropped_messages`]; crashed nodes are skipped by the runtime
+//! and counted in [`Metrics::crashed_nodes`]. An optional
 //! round-stamped [trace sink](Network::enable_trace) records every fault
 //! event, which is what the scenario engine's replay mode re-verifies.
 //!
@@ -157,9 +113,8 @@
 //! are parked on a heap keyed by `(due round, delivery-order sequence
 //! number)` and drained at their due barrier in that order. Both the park
 //! decision and the sequence number are assigned in delivery order, so the
-//! cross-round drain order is byte-identical for every shard count too —
-//! the shard-invariance invariant survives cross-round delivery (pinned by
-//! the fault-plane suite's latency goldens and property tests).
+//! cross-round drain order is reproducible too (pinned by the fault-plane
+//! suite's latency goldens and property tests).
 //!
 //! Beyond the benign classes, the plan models an **adversary**: Byzantine
 //! windows ([`FaultPlan::byzantine`]) in which a node's surviving outgoing
@@ -172,8 +127,8 @@
 //! sampling uniformly. Both are judged at the same barrier in the same
 //! delivery order, mutation draws and strike selections consume their own
 //! streams (never the drop lottery's), and mutation is the **only** code
-//! path that rewrites a payload — so adversarial runs keep the
-//! byte-identical-across-shards guarantee, and [`Metrics::mutated_messages`]
+//! path that rewrites a payload — so adversarial runs stay byte-identical
+//! across re-runs, and [`Metrics::mutated_messages`]
 //! plus the `MessageMutated`/`MessageEquivocated` trace events make every
 //! lie observable.
 //!
@@ -191,43 +146,42 @@
 //! fast path of §3 — and installing an *empty* plan is byte-identical to
 //! installing none (pinned by the workspace fault-plane suite).
 //!
-//! ## 6. The event-driven execution mode for partial synchrony
+//! ## 5. The event-driven execution mode for partial synchrony
 //!
-//! Beside the round-synchronous engine, the [`event`] module provides a
-//! deterministic **discrete-event** mode: an [`EventRuntime`] drives the
-//! same unmodified [`NodeProgram`]s while a scheduler adversary
-//! ([`SchedulerSpec`], installed via [`Network::set_scheduler`]) chooses a
-//! delivery delay in `0..=bound` for every message — at the barrier, in
-//! delivery order, from a dedicated salted PRNG stream, generalising the
-//! latency heap of §5 into a global event heap keyed by `(due time, seq)`.
-//! Under the `synchronous` scheduler the event engine reproduces the round
-//! engine **byte-for-byte** (metrics and history), which is what keeps the
-//! two models comparable; the full execution-model contract — clock
-//! semantics, the scheduler catalogue, the equivalence theorem, and the
-//! replay guarantee — lives in `docs/EXECUTION_MODELS.md` in the
-//! repository root.
+//! Beside the round-synchronous model, the [`event`] module provides a
+//! deterministic **discrete-event** mode: the same [`SyncRuntime`] drives
+//! the same unmodified [`NodeProgram`]s while a scheduler adversary
+//! ([`SchedulerSpec`], installed via [`SyncRuntime::set_scheduler`] or
+//! [`Network::set_scheduler`]) chooses a delivery delay in `0..=bound` for
+//! every message — at the barrier, in delivery order, from a dedicated
+//! salted PRNG stream, generalising the latency heap of §4 into a global
+//! event heap keyed by `(due time, seq)`. Under the `synchronous` scheduler
+//! event mode reproduces the round model **byte-for-byte** (metrics and
+//! history) by construction, since both run one per-node loop; the full
+//! execution-model contract — clock semantics, the scheduler catalogue, the
+//! equivalence theorem, and the replay guarantee — lives in
+//! `docs/EXECUTION_MODELS.md` in the repository root.
 //!
 //! **Invariant:** scheduler decisions are made only at the barrier in
 //! delivery order and consume only the scheduler's own stream, so an
-//! event-mode run is byte-identical for every shard count and replays
-//! exactly, like every other execution (pinned by the workspace
-//! `event_mode` suite).
+//! event-mode run replays exactly, like every other execution (pinned by
+//! the workspace `event_mode` suite).
 //!
-//! ## 7. The telemetry sidecar
+//! ## 6. The telemetry sidecar
 //!
 //! The [`telemetry`] module provides an **opt-in** observability layer:
 //! per-round phase spans (node-step, barrier-merge, fault-judge,
-//! scheduler-oracle), per-shard busy-time and message counters, and
-//! deterministic log2-bucket histograms (messages per round, inbox sizes,
-//! and — in event mode — heap depth and scheduler skew). It is enabled per
-//! run via [`Network::enable_telemetry`] (or the runtime wrappers) and
+//! scheduler-oracle) and deterministic log2-bucket histograms (messages
+//! per round, inbox sizes, and — in event mode — heap depth and scheduler
+//! skew). It is enabled per run via [`Network::enable_telemetry`] (or the
+//! runtime wrapper) and
 //! harvested with [`Network::take_telemetry`] into a [`TelemetryReport`].
 //!
 //! **Invariant (determinism boundary):** telemetry lives strictly *outside*
 //! the determinism domain. Wall-clock readings go only into the report's
 //! segregated [`telemetry::WallTelemetry`] half; the
 //! [`telemetry::DeterministicTelemetry`] half is derived exclusively from
-//! barrier-merged quantities and is byte-identical for every shard count.
+//! barrier-merged quantities and is byte-identical on every re-run.
 //! Telemetry never touches [`Metrics`], round history, the fault trace, or
 //! any PRNG stream, and when it is off (the default) the steady-state round
 //! path performs no allocations and no timing calls — one predictable
@@ -276,13 +230,13 @@ pub mod topology;
 pub mod walks;
 
 pub use error::Error;
-pub use event::{EventRuntime, ExecMode, SchedulerKind, SchedulerSpec};
+pub use event::{ExecMode, SchedulerKind, SchedulerSpec};
 pub use fault::{
     ByzantineWindow, CrashPoint, DropCause, FaultPlan, LinkLatency, LinkOutage, TraceEvent,
 };
 pub use graph::{EdgeId, Graph, Neighbors, NodeId, Port};
 pub use message::Payload;
 pub use metrics::{Metrics, RoundReport};
-pub use network::{Delivery, Network, NetworkConfig, ShardView};
+pub use network::{Delivery, Network, NetworkConfig};
 pub use runtime::{NodeProgram, Outbox, RoundContext, SyncRuntime};
 pub use telemetry::{DeterministicTelemetry, Log2Histogram, Phase, TelemetryReport, WallTelemetry};

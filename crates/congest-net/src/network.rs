@@ -13,7 +13,7 @@
 //!   round-stamped state whose size follows traffic (see the `busy`
 //!   module): a sender of degree at most 64 gets a dense page of `deg(v)`
 //!   stamps on its first send; a higher-degree sender records its busy
-//!   ports in its shard's round-tagged open-addressed set until it sends
+//!   ports in the network's round-tagged open-addressed set until it sends
 //!   more than `max(64, deg/16)` messages in one round, and only then gets a
 //!   page. Stamps and tags are compared with the current round stamp, so
 //!   nothing is cleared between rounds, and nodes that never transmit cost
@@ -38,13 +38,13 @@ use crate::event::{SchedulerSpec, SchedulerState};
 use crate::fault::{DropCause, FaultPlan, FaultState, NeighborFaultView, TraceEvent, Verdict};
 use crate::graph::{Graph, NodeId, Port};
 use crate::message::{congest_budget_bits, Payload};
-use crate::metrics::{Metrics, MetricsRecorder, RoundReport, ShardCounters};
+use crate::metrics::{Metrics, MetricsRecorder, RoundReport};
 use crate::telemetry::{elapsed_nanos, Phase, TelemetryReport, TelemetrySink};
 
 /// One message parked on the cross-round delivery heap by a link-latency
 /// fault. Ordered by `(due, seq)` only — `seq` is assigned in the
 /// deterministic barrier delivery order, so heap drain order is
-/// byte-identical for every shard count and never inspects the payload.
+/// reproducible and never inspects the payload.
 #[derive(Debug)]
 struct DelayedMsg<M> {
     /// The fault-clock value of the barrier this message matures at.
@@ -97,17 +97,6 @@ pub struct NetworkConfig {
     /// Whether to retain a per-round [`RoundReport`] history (costs memory on
     /// very long runs; metrics totals are always kept).
     pub track_round_history: bool,
-    /// Number of worker shards the [`SyncRuntime`](crate::runtime::SyncRuntime)
-    /// uses to execute a round. `0` (the default) means *auto*: the
-    /// `CONGEST_SHARDS` environment variable if set, otherwise `1`
-    /// (sequential). Any value is clamped to `1..=n` at network creation.
-    ///
-    /// Metrics, round history, and RNG streams are **byte-identical for
-    /// every shard count** — the deterministic-merge invariant pinned by the
-    /// workspace determinism suite — so this knob only trades wall-clock
-    /// time. Protocols that drive the [`Network`] directly are always
-    /// executed by their calling thread regardless of this setting.
-    pub shard_count: usize,
 }
 
 impl NetworkConfig {
@@ -120,16 +109,7 @@ impl NetworkConfig {
             shared_coin: false,
             enforce_congest: true,
             track_round_history: false,
-            shard_count: 0,
         }
-    }
-
-    /// Sets the number of worker shards for runtime-driven round execution
-    /// (see [`NetworkConfig::shard_count`]). `0` restores auto resolution.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shard_count = shards;
-        self
     }
 
     /// Enables the global shared coin.
@@ -201,26 +181,14 @@ pub struct Network<M: Payload> {
     /// `sparse_busy` (higher degree). Only consulted when CONGEST
     /// enforcement is on.
     edge_stamp: Vec<Box<[u64]>>,
-    /// Per-shard sets of the busy `(from, port)` pairs of high-degree
-    /// senders that have no page; shard `s` owns the pairs of its nodes, on
-    /// the sequential and the sharded send path alike. Capacity retained.
-    sparse_busy: Vec<SparseBusy>,
+    /// The busy `(from, port)` pairs of high-degree senders that have no
+    /// page. Capacity retained.
+    sparse_busy: SparseBusy,
     /// The current round's stamp; starts at 1 so zero-initialised stamps
     /// and tags mean "never used".
     round_stamp: u64,
     node_rngs: Vec<StdRng>,
     shared_rng: Option<StdRng>,
-    /// Shard fenceposts (`k + 1` entries, from [`Graph::shard_boundaries`])
-    /// for the resolved shard count; `k == 1` for sequential execution.
-    boundaries: Vec<usize>,
-    /// Per-shard outbox queues filled by [`ShardView::send_through_port`]
-    /// during sharded rounds; merged into inboxes **in shard order** at
-    /// [`advance_round`](Network::advance_round), after the sequential
-    /// `pending` buffer. Buffers are drained, never dropped.
-    shard_pending: Vec<Vec<(NodeId, Port, NodeId, M)>>,
-    /// Per-shard send counters, absorbed into the recorder in shard order at
-    /// the round barrier.
-    shard_counters: Vec<ShardCounters>,
     /// The fault-injection plane, instantiated when a
     /// [`FaultPlan`](crate::fault::FaultPlan) is installed; `None` (the
     /// default) keeps delivery on the pristine fault-free path.
@@ -245,8 +213,7 @@ pub struct Network<M: Payload> {
     /// order when tracing is enabled.
     trace: Vec<TraceEvent>,
     /// Messages actually delivered (sent minus dropped) at the last
-    /// `advance_round`; the live-traffic signal the runtime's adaptive
-    /// scheduler reads.
+    /// `advance_round`.
     delivered_last_round: usize,
     /// The opt-in observability sidecar (see the [`telemetry`](crate::telemetry)
     /// module): `None` — the default — keeps every probe in the round
@@ -277,22 +244,11 @@ impl<M: Payload> Network<M> {
         let shared_rng = config
             .shared_coin
             .then(|| StdRng::seed_from_u64(seeder.next_u64()));
-        let requested = if config.shard_count == 0 {
-            std::env::var("CONGEST_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&k| k > 0)
-                .unwrap_or(1)
-        } else {
-            config.shard_count
-        };
-        let boundaries = graph.shard_boundaries(requested);
-        let shards = boundaries.len() - 1;
         Network {
             inboxes: vec![Vec::new(); n],
             dirty_inboxes: Vec::new(),
             edge_stamp: (0..n).map(|_| Box::default()).collect(),
-            sparse_busy: (0..shards).map(|_| SparseBusy::default()).collect(),
+            sparse_busy: SparseBusy::default(),
             round_stamp: 1,
             graph,
             config,
@@ -301,9 +257,6 @@ impl<M: Payload> Network<M> {
             pending: Vec::new(),
             node_rngs,
             shared_rng,
-            boundaries,
-            shard_pending: (0..shards).map(|_| Vec::new()).collect(),
-            shard_counters: vec![ShardCounters::default(); shards],
             faults: None,
             scheduler: None,
             delayed: BinaryHeap::new(),
@@ -319,10 +272,9 @@ impl<M: Payload> Network<M> {
     ///
     /// Must be installed before the first round: the fault clock starts at
     /// round 0 regardless of when the plan is installed. Fault decisions are
-    /// made at the delivery barrier in delivery order, which is
-    /// byte-identical for every shard count, so a faulty run is exactly as
-    /// deterministic as a fault-free one (see the crate docs and the
-    /// [`fault`](crate::fault) module). Installing an *empty* plan is
+    /// made at the delivery barrier in delivery order, so a faulty run is
+    /// exactly as deterministic as a fault-free one (see the crate docs and
+    /// the [`fault`](crate::fault) module). Installing an *empty* plan is
     /// byte-identical to installing none.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = Some(FaultState::new(plan, self.graph.node_count()));
@@ -343,8 +295,8 @@ impl<M: Payload> Network<M> {
     /// the delivery barrier, in delivery order, for every message the fault
     /// plane delivers (fault-delayed messages keep their fault latency),
     /// and draws only from its own dedicated salted stream — so an
-    /// event-mode run is exactly as deterministic and shard-invariant as a
-    /// round-mode one. Installing the
+    /// event-mode run is exactly as deterministic as a round-mode one.
+    /// Installing the
     /// [`synchronous`](crate::SchedulerSpec::synchronous) scheduler is
     /// byte-identical to installing none.
     pub fn set_scheduler(&mut self, spec: &SchedulerSpec) {
@@ -395,7 +347,7 @@ impl<M: Payload> Network<M> {
     /// metric, trace, or random draw. Idempotent.
     pub fn enable_telemetry(&mut self) {
         if self.telemetry.is_none() {
-            self.telemetry = Some(Box::new(TelemetrySink::new(self.shard_count())));
+            self.telemetry = Some(Box::new(TelemetrySink::new()));
         }
     }
 
@@ -414,19 +366,11 @@ impl<M: Payload> Network<M> {
     }
 
     /// Records `nanos` of node-program execution time on the telemetry
-    /// sidecar (no-op when telemetry is off). Called by the runtimes once
+    /// sidecar (no-op when telemetry is off). Called by the runtime once
     /// per round.
     pub(crate) fn record_node_step(&mut self, nanos: u64) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.record_phase(Phase::NodeStep, nanos);
-        }
-    }
-
-    /// Records `nanos` of worker busy time for shard `shard` on the
-    /// telemetry sidecar (no-op when telemetry is off).
-    pub(crate) fn record_shard_busy(&mut self, shard: usize, nanos: u64) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record_shard_busy(shard, nanos);
         }
     }
 
@@ -609,10 +553,9 @@ impl<M: Payload> Network<M> {
                     budget: self.budget_bits,
                 });
             }
-            let (boundaries, sparse) = (&self.boundaries, &mut self.sparse_busy);
             if !busy::try_stamp(
                 &mut self.edge_stamp[from],
-                move || &mut sparse[shard_of(boundaries, from)],
+                &mut self.sparse_busy,
                 || self.graph.degree(from),
                 from,
                 port,
@@ -680,13 +623,13 @@ impl<M: Payload> Network<M> {
     /// Tells the CONGEST check that `v` is about to send `sends` messages
     /// this round, so a high-degree sender that would escalate out of the
     /// sparse edge-busy set partway through the batch gets its dense page
-    /// up front. Changes no accept/reject decision; the runtimes call it
+    /// up front. Changes no accept/reject decision; the runtime calls it
     /// before flushing an outbox.
     pub(crate) fn reserve_sends(&mut self, v: NodeId, sends: usize) {
         if self.config.enforce_congest {
             busy::reserve(
                 &mut self.edge_stamp[v],
-                || &self.sparse_busy[shard_of(&self.boundaries, v)],
+                &self.sparse_busy,
                 || self.graph.degree(v),
                 v,
                 sends,
@@ -726,8 +669,7 @@ impl<M: Payload> Network<M> {
             }
             let page = &mut self.edge_stamp[v];
             if page.is_empty() {
-                let sparse = &self.sparse_busy[shard_of(&self.boundaries, v)];
-                *page = sparse.dense_page(v, degree, self.round_stamp);
+                *page = self.sparse_busy.dense_page(v, degree, self.round_stamp);
             }
         }
         let page = &mut self.edge_stamp[v];
@@ -748,18 +690,12 @@ impl<M: Payload> Network<M> {
 
     /// Delivers all pending messages and advances the round clock by one.
     ///
-    /// Delivery order is: the sequential `pending` buffer first (sends made
-    /// through the `Network` handle itself), then each shard's outbox queue
-    /// **in shard order**. Worker shards fill their queues in node order
-    /// over contiguous node ranges, so the concatenation reproduces the
-    /// exact global node-order delivery of the sequential engine — this is
-    /// the deterministic barrier merge that makes metrics and protocol
-    /// behaviour byte-identical for every shard count.
+    /// Messages are delivered in send order, so inbox contents, metrics and
+    /// protocol behaviour depend only on the seed.
     ///
     /// Steady-state this performs **no heap allocation**: inboxes are
-    /// cleared in place, the pending buffers (sequential and per-shard) are
-    /// drained in place, and edge usage is invalidated by bumping the round
-    /// stamp.
+    /// cleared in place, the pending buffer is drained in place, and edge
+    /// usage is invalidated by bumping the round stamp.
     pub fn advance_round(&mut self) {
         // The telemetry sidecar is taken out for the duration of the
         // barrier so the instrumentation below can borrow the rest of the
@@ -798,30 +734,7 @@ impl<M: Payload> Network<M> {
                 self.inboxes[to].push((from, port, msg));
                 delivered += 1;
             }
-            for s in 0..self.shard_pending.len() {
-                for (from, port, to, msg) in self.shard_pending[s].drain(..) {
-                    if self.inboxes[to].is_empty() {
-                        self.dirty_inboxes.push(to);
-                    }
-                    self.inboxes[to].push((from, port, msg));
-                    delivered += 1;
-                }
-            }
             self.delivered_last_round = delivered;
-        }
-        if let Some(t) = telemetry.as_deref_mut() {
-            // Per-shard send counts, read before absorption resets them.
-            for (s, shard) in self.shard_counters.iter().enumerate() {
-                let sent = shard.classical_messages + shard.quantum_messages;
-                if sent > 0 {
-                    t.record_shard_messages(s, sent);
-                }
-            }
-        }
-        for shard in &mut self.shard_counters {
-            if !shard.is_empty() || shard.bits > 0 {
-                self.recorder.absorb_shard(shard);
-            }
         }
         self.round_stamp += 1;
         if let Some(faults) = self.faults.as_mut() {
@@ -832,7 +745,7 @@ impl<M: Payload> Network<M> {
         }
         if let Some(t) = telemetry.as_deref_mut() {
             // Deterministic samples: every input here is a barrier-merged
-            // quantity, byte-identical for every shard count.
+            // quantity that depends only on the seed.
             for &v in &self.dirty_inboxes {
                 t.record_inbox_size(self.inboxes[v].len() as u64);
             }
@@ -853,9 +766,9 @@ impl<M: Payload> Network<M> {
     /// adversary is installed: identical to the fast loops in
     /// [`advance_round`](Network::advance_round) except that every message is
     /// judged by the installed [`FaultState`] and then skewed by the
-    /// installed [`SchedulerState`] — both in delivery order, which is
-    /// byte-identical for every shard count, so fault decisions, scheduler
-    /// decisions, and their dedicated PRNG streams are too. Kept out of
+    /// installed [`SchedulerState`] — both in delivery order, so fault
+    /// decisions, scheduler decisions, and their dedicated PRNG streams
+    /// depend only on the seeds. Kept out of
     /// line so the plain hot path pays one branch for the whole feature.
     ///
     /// Delayed messages that matured (their due clock reached, possibly
@@ -916,167 +829,146 @@ impl<M: Payload> Network<M> {
         // in delivery order, mark every directed link used, and collect the
         // positions of frontier messages (first use of their link in the
         // run); the dedicated adversary stream then picks up to k of them
-        // to strike. The scan order equals the judging order below, so the
-        // strike set is byte-identical for every shard count.
+        // to strike. The scan order equals the judging order below.
         let strikes = match faults.as_mut() {
             Some(faults) if faults.adversary_active() => {
                 let mut candidates = Vec::new();
-                let mut base = 0usize;
-                for queue in std::iter::once(&self.pending).chain(self.shard_pending.iter()) {
-                    for (i, (from, _, to, _)) in queue.iter().enumerate() {
-                        if faults.mark_link_used(*from, *to) {
-                            candidates.push(base + i);
-                        }
+                for (i, (from, _, to, _)) in self.pending.iter().enumerate() {
+                    if faults.mark_link_used(*from, *to) {
+                        candidates.push(i);
                     }
-                    base += queue.len();
                 }
                 faults.select_strikes(candidates)
             }
             _ => Vec::new(),
         };
         let mut next_strike = 0usize;
-        let mut base = 0usize;
-        // Equivocation detection: each node's sends sit contiguously in
-        // exactly one queue (outboxes fill in node order), so a second
+        // Equivocation detection: each node's sends sit contiguously in the
+        // pending buffer (outboxes flush in node order), so a second
         // mutated payload from the sender whose message was mutated last
         // means at least two ports got independent mutation draws this
         // round.
         let mut last_mutated: Option<NodeId> = None;
         let mut equivocation_flagged = false;
         let mut pending = std::mem::take(&mut self.pending);
-        let mut queue = 0usize;
-        loop {
-            let queue_len = pending.len();
-            for (i, (from, port, to, msg)) in pending.drain(..).enumerate() {
-                // Phase two: a struck message is dropped before `judge`
-                // runs, so the uniform drop stream is not consumed for it.
-                let struck = next_strike < strikes.len() && strikes[next_strike] == base + i;
-                let verdict = if struck {
-                    next_strike += 1;
-                    Verdict::Drop(DropCause::Adversarial)
-                } else {
-                    match faults.as_mut() {
-                        Some(faults) => faults.judge(from, to),
-                        None => Verdict::Deliver,
-                    }
-                };
-                if let Verdict::Drop(cause) = verdict {
-                    self.recorder.record_drop();
+        for (i, (from, port, to, msg)) in pending.drain(..).enumerate() {
+            // Phase two: a struck message is dropped before `judge`
+            // runs, so the uniform drop stream is not consumed for it.
+            let struck = next_strike < strikes.len() && strikes[next_strike] == i;
+            let verdict = if struck {
+                next_strike += 1;
+                Verdict::Drop(DropCause::Adversarial)
+            } else {
+                match faults.as_mut() {
+                    Some(faults) => faults.judge(from, to),
+                    None => Verdict::Deliver,
+                }
+            };
+            if let Verdict::Drop(cause) = verdict {
+                self.recorder.record_drop();
+                if self.trace_enabled {
+                    self.trace.push(TraceEvent::MessageDropped {
+                        round: clock,
+                        from,
+                        to,
+                        cause,
+                    });
+                }
+                continue;
+            }
+            // The message survives the barrier: a Byzantine sender lies
+            // *now*, at send time — a latency-delayed copy parks the
+            // corrupted payload, and every outgoing message draws its
+            // own mutation (different ports can carry different lies).
+            let msg = match faults.as_mut().and_then(|f| f.mutate_payload(from, &msg)) {
+                Some(mutated) => {
+                    self.recorder.record_mutation();
                     if self.trace_enabled {
-                        self.trace.push(TraceEvent::MessageDropped {
+                        self.trace.push(TraceEvent::MessageMutated {
                             round: clock,
                             from,
                             to,
-                            cause,
                         });
                     }
-                    continue;
-                }
-                // The message survives the barrier: a Byzantine sender lies
-                // *now*, at send time — a latency-delayed copy parks the
-                // corrupted payload, and every outgoing message draws its
-                // own mutation (different ports can carry different lies).
-                let msg = match faults.as_mut().and_then(|f| f.mutate_payload(from, &msg)) {
-                    Some(mutated) => {
-                        self.recorder.record_mutation();
-                        if self.trace_enabled {
-                            self.trace.push(TraceEvent::MessageMutated {
-                                round: clock,
-                                from,
-                                to,
-                            });
-                        }
-                        if last_mutated == Some(from) {
-                            if !equivocation_flagged {
-                                equivocation_flagged = true;
-                                if self.trace_enabled {
-                                    self.trace.push(TraceEvent::MessageEquivocated {
-                                        round: clock,
-                                        node: from,
-                                    });
-                                }
+                    if last_mutated == Some(from) {
+                        if !equivocation_flagged {
+                            equivocation_flagged = true;
+                            if self.trace_enabled {
+                                self.trace.push(TraceEvent::MessageEquivocated {
+                                    round: clock,
+                                    node: from,
+                                });
                             }
-                        } else {
-                            last_mutated = Some(from);
-                            equivocation_flagged = false;
                         }
-                        mutated
+                    } else {
+                        last_mutated = Some(from);
+                        equivocation_flagged = false;
                     }
-                    None => msg,
-                };
-                match verdict {
-                    Verdict::Delay(delay) => {
-                        self.recorder.record_delay();
+                    mutated
+                }
+                None => msg,
+            };
+            match verdict {
+                Verdict::Delay(delay) => {
+                    self.recorder.record_delay();
+                    if self.trace_enabled {
+                        self.trace.push(TraceEvent::MessageDelayed {
+                            round: clock,
+                            from,
+                            to,
+                            delay,
+                        });
+                    }
+                    let seq = self.delayed_seq;
+                    self.delayed_seq += 1;
+                    self.delayed.push(DelayedMsg {
+                        due: clock + delay,
+                        seq,
+                        from,
+                        port,
+                        to,
+                        msg,
+                    });
+                }
+                _ => {
+                    // The fault plane delivers this message; the
+                    // scheduler adversary now chooses how long the
+                    // network holds it. `0` — the synchronous policy's
+                    // only answer — delivers at this barrier, exactly
+                    // like the round engine.
+                    let skew = scheduler.as_mut().map_or(0, SchedulerState::delay);
+                    if skew > 0 {
+                        self.recorder.record_scheduled();
                         if self.trace_enabled {
-                            self.trace.push(TraceEvent::MessageDelayed {
+                            self.trace.push(TraceEvent::MessageScheduled {
                                 round: clock,
                                 from,
                                 to,
-                                delay,
+                                delay: skew,
                             });
                         }
                         let seq = self.delayed_seq;
                         self.delayed_seq += 1;
                         self.delayed.push(DelayedMsg {
-                            due: clock + delay,
+                            due: clock + skew,
                             seq,
                             from,
                             port,
                             to,
                             msg,
                         });
-                    }
-                    _ => {
-                        // The fault plane delivers this message; the
-                        // scheduler adversary now chooses how long the
-                        // network holds it. `0` — the synchronous policy's
-                        // only answer — delivers at this barrier, exactly
-                        // like the round engine.
-                        let skew = scheduler.as_mut().map_or(0, SchedulerState::delay);
-                        if skew > 0 {
-                            self.recorder.record_scheduled();
-                            if self.trace_enabled {
-                                self.trace.push(TraceEvent::MessageScheduled {
-                                    round: clock,
-                                    from,
-                                    to,
-                                    delay: skew,
-                                });
-                            }
-                            let seq = self.delayed_seq;
-                            self.delayed_seq += 1;
-                            self.delayed.push(DelayedMsg {
-                                due: clock + skew,
-                                seq,
-                                from,
-                                port,
-                                to,
-                                msg,
-                            });
-                        } else {
-                            if self.inboxes[to].is_empty() {
-                                self.dirty_inboxes.push(to);
-                            }
-                            self.inboxes[to].push((from, port, msg));
-                            delivered += 1;
+                    } else {
+                        if self.inboxes[to].is_empty() {
+                            self.dirty_inboxes.push(to);
                         }
+                        self.inboxes[to].push((from, port, msg));
+                        delivered += 1;
                     }
                 }
             }
-            base += queue_len;
-            // Rotate the drained buffer back, then judge the shard queues in
-            // shard order — the same merge order as the fault-free path.
-            if queue == 0 {
-                self.pending = pending;
-            } else {
-                self.shard_pending[queue - 1] = pending;
-            }
-            if queue == self.shard_pending.len() {
-                break;
-            }
-            pending = std::mem::take(&mut self.shard_pending[queue]);
-            queue += 1;
         }
+        // Rotate the drained buffer back so its capacity is reused.
+        self.pending = pending;
         self.delivered_last_round = delivered;
         self.faults = faults;
         self.scheduler = scheduler;
@@ -1088,7 +980,7 @@ impl<M: Payload> Network<M> {
     /// round individually.
     pub fn skip_rounds(&mut self, rounds: u64) {
         debug_assert!(
-            self.pending.is_empty() && self.shard_pending.iter().all(Vec::is_empty),
+            self.pending.is_empty(),
             "skip_rounds with undelivered messages"
         );
         self.round_stamp += rounds;
@@ -1170,299 +1062,7 @@ impl<M: Payload> Network<M> {
     /// caller wants to measure phases of a protocol separately.
     pub fn reset_metrics(&mut self) {
         self.recorder = MetricsRecorder::default();
-        for shard in &mut self.shard_counters {
-            *shard = ShardCounters::default();
-        }
     }
-
-    /// The resolved shard count `k` (`1` = sequential execution).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.boundaries.len() - 1
-    }
-
-    /// The shard fenceposts (`k + 1` entries; shard `s` owns nodes
-    /// `boundaries[s]..boundaries[s + 1]`).
-    #[must_use]
-    pub fn shard_boundaries(&self) -> &[usize] {
-        &self.boundaries
-    }
-
-    /// Splits the network's per-node and per-edge state into `k` disjoint
-    /// [`ShardView`]s, one per shard, for one round of parallel execution.
-    ///
-    /// Each view covers a contiguous node range and therefore a contiguous,
-    /// disjoint slice of the per-node stamp pages, plus its own sparse
-    /// edge-busy set, so CONGEST edge-busy enforcement needs no cross-shard
-    /// synchronisation: a shard only ever sends from its own nodes, whose
-    /// outgoing directed edges it exclusively owns. Views queue sends into
-    /// per-shard outboxes that the next
-    /// [`advance_round`](Network::advance_round) merges deterministically.
-    ///
-    /// The caller must not touch the network until every view is dropped
-    /// (the borrow checker enforces this), and must call `advance_round` to
-    /// publish the queued sends and counters.
-    pub fn shard_views(&mut self) -> Vec<ShardView<'_, M>> {
-        let quantum = self.recorder.quantum_depth > 0;
-        let graph = &self.graph;
-        let boundaries = &self.boundaries;
-        let shards = boundaries.len() - 1;
-        let (down_windows, fault_clock) = match self.faults.as_ref() {
-            Some(f) => (Some(f.down_windows()), f.clock),
-            None => (None, 0),
-        };
-        let mut inboxes = self.inboxes.as_mut_slice();
-        let mut stamps = self.edge_stamp.as_mut_slice();
-        let mut rngs = self.node_rngs.as_mut_slice();
-        let mut sparse = self.sparse_busy.iter_mut();
-        let mut pending = self.shard_pending.iter_mut();
-        let mut counters = self.shard_counters.iter_mut();
-        let mut views = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (node_lo, node_hi) = (boundaries[s], boundaries[s + 1]);
-            let (shard_inboxes, rest) = inboxes.split_at_mut(node_hi - node_lo);
-            inboxes = rest;
-            let (shard_stamps, rest) = stamps.split_at_mut(node_hi - node_lo);
-            stamps = rest;
-            let (shard_rngs, rest) = rngs.split_at_mut(node_hi - node_lo);
-            rngs = rest;
-            views.push(ShardView {
-                graph,
-                node_lo,
-                down_windows,
-                fault_clock,
-                round_stamp: self.round_stamp,
-                enforce_congest: self.config.enforce_congest,
-                budget_bits: self.budget_bits,
-                quantum,
-                inboxes: shard_inboxes,
-                edge_stamp: shard_stamps,
-                sparse_busy: sparse.next().expect("shard edge-busy set missing"),
-                rngs: shard_rngs,
-                pending: pending.next().expect("shard pending missing"),
-                counters: counters.next().expect("shard counters missing"),
-            });
-        }
-        views
-    }
-}
-
-/// One shard's exclusive, thread-safe window onto the network for a single
-/// round of sharded execution: the shard's inboxes, private RNG streams, the
-/// stamp pages and sparse edge-busy set for its nodes' outgoing directed
-/// edges, and its own outbox queue and send counters. Produced by
-/// [`Network::shard_views`].
-#[derive(Debug)]
-pub struct ShardView<'a, M: Payload> {
-    graph: &'a Graph,
-    /// First node owned by this shard.
-    node_lo: NodeId,
-    /// The fault plan's full per-node down windows `(down_from, down_until)`
-    /// (`None` when no plan is installed). The **whole** arrays, not a shard
-    /// slice: [`RoundContext::failed_neighbors`](crate::runtime::RoundContext::failed_neighbors)
-    /// must see neighbours that live in other shards, and the arrays are
-    /// immutable for the duration of a round, so sharing them is free.
-    down_windows: Option<(&'a [u64], &'a [u64])>,
-    /// The fault clock at view creation (the round being executed).
-    fault_clock: u64,
-    round_stamp: u64,
-    enforce_congest: bool,
-    budget_bits: usize,
-    /// Whether sends this round are charged to the quantum meter (captured
-    /// from the recorder at view creation).
-    quantum: bool,
-    inboxes: &'a mut [Vec<Delivery<M>>],
-    /// This shard's nodes' dense stamp pages, indexed by `v - node_lo` and
-    /// then by port.
-    edge_stamp: &'a mut [Box<[u64]>],
-    /// This shard's set of busy pairs of high-degree senders without a page.
-    sparse_busy: &'a mut SparseBusy,
-    rngs: &'a mut [StdRng],
-    pending: &'a mut Vec<(NodeId, Port, NodeId, M)>,
-    counters: &'a mut ShardCounters,
-}
-
-impl<M: Payload> ShardView<'_, M> {
-    /// The first node of this shard's contiguous range.
-    #[must_use]
-    pub fn first_node(&self) -> NodeId {
-        self.node_lo
-    }
-
-    /// Number of nodes in this shard.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// The communication graph (shared, read-only).
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Whether node `v`'s inbox is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    #[must_use]
-    pub fn inbox_is_empty(&self, v: NodeId) -> bool {
-        self.inboxes[v - self.node_lo].is_empty()
-    }
-
-    /// Whether node `v` is down (crashed and not yet recovered, per the
-    /// installed fault plan) as of the round being executed — the sharded
-    /// mirror of [`Network::node_crashed`]. Always `false` without a fault
-    /// plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[must_use]
-    pub fn node_crashed(&self, v: NodeId) -> bool {
-        self.down_windows
-            .is_some_and(|(from, until)| from[v] <= self.fault_clock && self.fault_clock < until[v])
-    }
-
-    /// Whether the round being executed is exactly node `v`'s recovery
-    /// round — the sharded mirror of [`Network::node_recovered_this_round`].
-    /// Always `false` without a fault plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[must_use]
-    pub fn node_recovered_this_round(&self, v: NodeId) -> bool {
-        self.down_windows
-            .is_some_and(|(from, until)| until[v] == self.fault_clock && from[v] < until[v])
-    }
-
-    /// Splits the borrows a [`RoundContext`](crate::runtime::RoundContext)
-    /// needs for node `v`: the node's private RNG stream (mutable) plus a
-    /// read-only neighbour-fault view — the sharded mirror of
-    /// `Network::ctx_parts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub(crate) fn ctx_parts(&mut self, v: NodeId) -> (&mut StdRng, Option<NeighborFaultView<'_>>) {
-        let faults = self
-            .down_windows
-            .map(|(down_from, down_until)| NeighborFaultView {
-                graph: self.graph,
-                node: v,
-                down_from,
-                down_until,
-                clock: self.fault_clock,
-            });
-        (&mut self.rngs[v - self.node_lo], faults)
-    }
-
-    /// Exchanges node `v`'s inbox with `scratch`, exactly like
-    /// [`Network::swap_inbox`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub fn swap_inbox(&mut self, v: NodeId, scratch: &mut Vec<Delivery<M>>) {
-        scratch.clear();
-        std::mem::swap(&mut self.inboxes[v - self.node_lo], scratch);
-    }
-
-    /// Mutable access to node `v`'s private random stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub fn rng(&mut self, v: NodeId) -> &mut StdRng {
-        &mut self.rngs[v - self.node_lo]
-    }
-
-    /// The sharded mirror of `Network::reserve_sends`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub(crate) fn reserve_sends(&mut self, v: NodeId, sends: usize) {
-        if self.enforce_congest {
-            let sparse = &*self.sparse_busy;
-            busy::reserve(
-                &mut self.edge_stamp[v - self.node_lo],
-                move || sparse,
-                || self.graph.degree(v),
-                v,
-                sends,
-                self.round_stamp,
-            );
-        }
-    }
-
-    /// Sends `msg` from `from` through its local port `port`, with the same
-    /// semantics (and errors) as [`Network::send_through_port`]: O(1)
-    /// CONGEST enforcement against this shard's private pages and edge-busy
-    /// set, O(1) arrival-port resolution, and queuing into this shard's
-    /// outbox for the deterministic merge at the round barrier.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::PortOutOfRange`] if `port >= deg(from)`,
-    /// * [`Error::MessageTooLarge`] if the payload exceeds the CONGEST budget,
-    /// * [`Error::EdgeBusy`] if the directed edge was already used this round
-    ///   (only when CONGEST enforcement is on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is outside this shard's node range — sending from a
-    /// foreign node would bypass that node's edge stamps and land in the
-    /// wrong shard's outbox queue, silently breaking both CONGEST
-    /// enforcement and the deterministic merge, so the check is
-    /// unconditional (like the other `ShardView` accessors).
-    pub fn send_through_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
-        assert!(
-            from >= self.node_lo && from - self.node_lo < self.inboxes.len(),
-            "node {from} outside shard starting at {}",
-            self.node_lo
-        );
-        let (to, arrival) = match self.graph.checked_delivery(from, port) {
-            Ok(slot) => slot,
-            Err(degree) => {
-                return Err(Error::PortOutOfRange {
-                    node: from,
-                    port,
-                    degree,
-                })
-            }
-        };
-        let bits = msg.size_bits();
-        if self.enforce_congest {
-            if bits > self.budget_bits {
-                return Err(Error::MessageTooLarge {
-                    bits,
-                    budget: self.budget_bits,
-                });
-            }
-            let sparse = &mut *self.sparse_busy;
-            if !busy::try_stamp(
-                &mut self.edge_stamp[from - self.node_lo],
-                move || sparse,
-                || self.graph.degree(from),
-                from,
-                port,
-                self.round_stamp,
-            ) {
-                return Err(Error::EdgeBusy { from, to });
-            }
-        }
-        self.counters.record_send(bits, self.quantum);
-        self.pending.push((from, arrival, to, msg));
-        Ok(())
-    }
-}
-
-/// The shard that owns node `v`, given the shard fenceposts.
-fn shard_of(boundaries: &[usize], v: NodeId) -> usize {
-    boundaries.partition_point(|&b| b <= v) - 1
 }
 
 #[cfg(test)]
@@ -1553,16 +1153,16 @@ mod tests {
     /// `K_200`: every node has degree 199, above the dense-page cutoff, so
     /// first sends go through the sparse edge-busy set; 64 sends in a round
     /// stay sparse and the 65th escalates.
-    fn high_degree_net(shards: usize) -> Network<u64> {
+    fn high_degree_net() -> Network<u64> {
         Network::new(
             topology::complete(200).unwrap(),
-            NetworkConfig::with_seed(3).shards(shards),
+            NetworkConfig::with_seed(3),
         )
     }
 
     #[test]
     fn sparse_path_rejects_a_repeated_pair() {
-        let mut net = high_degree_net(1);
+        let mut net = high_degree_net();
         net.send_through_port(7, 5, 1).unwrap();
         assert!(matches!(
             net.send_through_port(7, 5, 2),
@@ -1580,7 +1180,7 @@ mod tests {
 
     #[test]
     fn ports_used_before_escalation_stay_busy_after_it() {
-        let mut net = high_degree_net(1);
+        let mut net = high_degree_net();
         for port in 0..64 {
             net.send_through_port(0, 2 * port, port as u64).unwrap();
         }
@@ -1600,7 +1200,7 @@ mod tests {
 
     #[test]
     fn broadcast_after_sparse_sends_sees_them() {
-        let mut net = high_degree_net(1);
+        let mut net = high_degree_net();
         net.send_through_port(4, 150, 1).unwrap();
         assert!(matches!(net.broadcast(4, 2), Err(Error::EdgeBusy { .. })));
         net.advance_round();
@@ -1609,7 +1209,7 @@ mod tests {
 
     #[test]
     fn skip_rounds_frees_every_sparse_edge() {
-        let mut net = high_degree_net(1);
+        let mut net = high_degree_net();
         for v in 0..10 {
             for port in 0..20 {
                 net.send_through_port(v, port, 1).unwrap();
@@ -1627,46 +1227,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_view_matches_the_sequential_sparse_path() {
-        // Duplicates, an out-of-range port, and enough distinct ports to
-        // escalate, from a node in the second of two shards.
-        let ports: Vec<Port> = (0..80)
-            .chain([3, 500, 79, 120, 3])
-            .chain(100..110)
-            .collect();
-        let outcome = |r: Result<(), Error>| format!("{r:?}");
-        let mut sequential = high_degree_net(1);
-        let expected: Vec<String> = ports
-            .iter()
-            .map(|&p| outcome(sequential.send_through_port(150, p, 1)))
-            .collect();
-        let mut sharded = high_degree_net(2);
-        assert_eq!(sharded.shard_count(), 2);
-        let mut views = sharded.shard_views();
-        let got: Vec<String> = ports
-            .iter()
-            .map(|&p| outcome(views[1].send_through_port(150, p, 1)))
-            .collect();
-        assert_eq!(got, expected);
-        assert!(got.iter().any(|r| r.contains("EdgeBusy")));
-        assert!(got.iter().any(|r| r.contains("PortOutOfRange")));
-    }
-
-    #[test]
-    fn sequential_and_sharded_sends_share_the_owner_shard_set() {
-        let mut net = high_degree_net(2);
-        net.send_through_port(150, 3, 1).unwrap();
-        let mut views = net.shard_views();
-        assert!(matches!(
-            views[1].send_through_port(150, 3, 2),
-            Err(Error::EdgeBusy { from: 150, .. })
-        ));
-        views[1].send_through_port(150, 4, 3).unwrap();
-    }
-
-    #[test]
     fn reserve_sends_pages_only_escalating_batches() {
-        let mut net = high_degree_net(1);
+        let mut net = high_degree_net();
         net.reserve_sends(0, 64);
         assert!(net.edge_stamp[0].is_empty());
         net.send_through_port(0, 9, 1).unwrap();

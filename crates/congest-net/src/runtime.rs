@@ -21,25 +21,25 @@
 //! Halted nodes with empty inboxes are skipped entirely — they cannot send
 //! (their program has terminated) and have nothing to receive, so the round
 //! cost is proportional to the *active* part of the network.
+//!
+//! # Event mode
+//!
+//! The same runtime executes the discrete-event mode of the
+//! [`event`](crate::event) module: [`SyncRuntime::set_scheduler`] installs
+//! a scheduler adversary on the network, which then skews deliveries at the
+//! barrier. The per-node loop is unchanged, so the synchronous scheduler
+//! reproduces the round engine by construction.
 
 use rand::rngs::StdRng;
 
 use crate::error::Error;
+use crate::event::SchedulerSpec;
 use crate::fault::{FaultPlan, NeighborFaultView, TraceEvent};
 use crate::graph::{Graph, NodeId, Port};
 use crate::message::Payload;
 use crate::metrics::Metrics;
-use crate::network::{Delivery, Network, NetworkConfig, ShardView};
+use crate::network::{Delivery, Network, NetworkConfig};
 use crate::telemetry::{elapsed_nanos, TelemetryReport};
-
-/// Rounds that delivered fewer messages than this run sequentially even when
-/// the network is configured with `shards > 1` (adaptive hybrid scheduling):
-/// below this traffic level the per-round pool dispatch costs more than the
-/// round body, and since the sequential and sharded paths are byte-identical
-/// by the deterministic-merge invariant, the switch is free — it can only
-/// trade wall-clock time. The start-up round uses the node count as its
-/// traffic proxy (nothing has been delivered yet).
-pub const ADAPTIVE_SEQUENTIAL_THRESHOLD: usize = 96;
 
 /// The per-round view a node program gets of its environment.
 #[derive(Debug)]
@@ -97,13 +97,6 @@ impl<M> Outbox<M> {
         Outbox { msgs: Vec::new() }
     }
 
-    /// The queued `(port, message)` pairs, for the crate's runtimes to
-    /// drain (swapped against a scratch buffer so the network can be
-    /// borrowed mutably while flushing).
-    pub(crate) fn msgs_mut(&mut self) -> &mut Vec<(Port, M)> {
-        &mut self.msgs
-    }
-
     /// Queues `msg` to be sent through `port`.
     pub fn send(&mut self, port: Port, msg: M) {
         self.msgs.push((port, msg));
@@ -140,9 +133,10 @@ impl<M> Outbox<M> {
 
 /// A per-node state machine driven by the [`SyncRuntime`].
 ///
-/// `Send` is required so the sharded round engine can execute contiguous
-/// chunks of programs on worker threads; programs are per-node protocol
-/// state (plain data), so this costs implementors nothing.
+/// `Send` is required so a whole run can execute on a worker thread of the
+/// pool (seed sweeps and the scenario farm run cells in parallel); programs
+/// are per-node protocol state (plain data), so this costs implementors
+/// nothing.
 ///
 /// Programs never see *who* mutated a payload: under a Byzantine window
 /// ([`FaultPlan::byzantine`](crate::fault::FaultPlan::byzantine)) the fault
@@ -216,150 +210,6 @@ pub struct SyncRuntime<P: NodeProgram> {
     /// Reusable drain buffer for flushing the outbox while the network is
     /// borrowed mutably.
     flush_scratch: Vec<(Port, P::Msg)>,
-    /// Per-shard scratch for the sharded execution path (empty when the
-    /// network resolved to a single shard).
-    shard_scratch: Vec<ShardScratch<P::Msg>>,
-    /// Per-shard error slots for the sharded path; the lowest-shard error is
-    /// the one reported, which keeps error selection deterministic.
-    shard_errors: Vec<Option<Error>>,
-    /// Per-shard wall-clock busy-time slots written by the workers when
-    /// telemetry is enabled (mirrors `shard_errors`; always zero and never
-    /// read when telemetry is off).
-    shard_busy: Vec<u64>,
-    /// Rounds the adaptive scheduler ran sequentially despite `shards > 1`
-    /// (always 0 when the network resolved to a single shard).
-    adaptive_sequential_rounds: u64,
-}
-
-/// One worker shard's reusable buffers: the sharded analogue of the
-/// runtime's sequential `inbox_scratch` / `incoming` / `outbox` trio.
-#[derive(Debug)]
-struct ShardScratch<M> {
-    inbox_scratch: Vec<Delivery<M>>,
-    incoming: Vec<(Port, M)>,
-    outbox: Outbox<M>,
-}
-
-impl<M> Default for ShardScratch<M> {
-    fn default() -> Self {
-        ShardScratch {
-            inbox_scratch: Vec::new(),
-            incoming: Vec::new(),
-            outbox: Outbox::new(),
-        }
-    }
-}
-
-/// Executes one shard's slice of a round (or of the start-up round): the
-/// per-node inbox translation, program callback, and outbox flush of the
-/// sequential engine, against the shard's exclusive [`ShardView`].
-///
-/// Nodes are processed in node order within the shard and sends are queued
-/// into the shard's outbox in that order, which is what makes the barrier
-/// merge (shard queues concatenated in shard order) reproduce the sequential
-/// engine's global node-order delivery exactly.
-///
-/// This is deliberately a *copy* of the per-node body in the sequential
-/// [`SyncRuntime::step`] / [`SyncRuntime::start`] loops rather than a shared
-/// abstraction: the sequential loop is the engine's hottest code and its
-/// codegen is fragile (routing it through a view indirection measurably
-/// regressed sparse rounds), so the two copies are kept textually parallel
-/// instead. If you change the skip rule, delivery translation, or flush
-/// order here, mirror it there — the determinism suite compares `k = 1`
-/// against `k > 1` behaviour precisely to catch a missed mirror.
-fn run_shard_round<P: NodeProgram>(
-    programs: &mut [P],
-    view: &mut ShardView<'_, P::Msg>,
-    scratch: &mut ShardScratch<P::Msg>,
-    round: u64,
-    shared_coin: Option<f64>,
-    start: bool,
-) -> Result<(), Error> {
-    let node_lo = view.first_node();
-    for (offset, program) in programs.iter_mut().enumerate() {
-        let v = node_lo + offset;
-        // Same recovery rule as the sequential engine: at its recovery
-        // round a rebooted node runs `on_recover` instead of the ordinary
-        // callback (its inbox is empty — the barrier dropped everything
-        // addressed to the pre-crash incarnation).
-        if view.node_recovered_this_round(v) {
-            let degree = view.graph().degree(v);
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_recover(&mut ctx, &mut scratch.outbox);
-            flush_into_view(view, v, &mut scratch.outbox.msgs)?;
-            continue;
-        }
-        // Same crash rule as the sequential engine: a crashed node computes
-        // nothing and its inbox is kept empty by the barrier.
-        if view.node_crashed(v) {
-            continue;
-        }
-        let degree = view.graph().degree(v);
-        if start {
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_start(&mut ctx, &mut scratch.outbox);
-        } else {
-            let inbox_empty = view.inbox_is_empty(v);
-            // Same skip rule as the sequential engine: a halted node sends
-            // nothing and, with an empty inbox, observes nothing.
-            if inbox_empty && program.halted() {
-                continue;
-            }
-            if inbox_empty {
-                scratch.incoming.clear();
-            } else {
-                view.swap_inbox(v, &mut scratch.inbox_scratch);
-                scratch.incoming.clear();
-                scratch.incoming.extend(
-                    scratch
-                        .inbox_scratch
-                        .drain(..)
-                        .map(|(_, port, msg)| (port, msg)),
-                );
-            }
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_round(&mut ctx, &scratch.incoming, &mut scratch.outbox);
-        }
-        flush_into_view(view, v, &mut scratch.outbox.msgs)?;
-    }
-    Ok(())
-}
-
-/// Sends everything `v` queued, through its shard's view.
-fn flush_into_view<M: Payload>(
-    view: &mut ShardView<'_, M>,
-    v: NodeId,
-    msgs: &mut Vec<(Port, M)>,
-) -> Result<(), Error> {
-    view.reserve_sends(v, msgs.len());
-    for (port, msg) in msgs.drain(..) {
-        view.send_through_port(v, port, msg)?;
-    }
-    Ok(())
 }
 
 impl<P: NodeProgram> SyncRuntime<P> {
@@ -374,38 +224,50 @@ impl<P: NodeProgram> SyncRuntime<P> {
         let programs = (0..graph.node_count())
             .map(|v| init(v, graph.degree(v)))
             .collect();
-        let net = Network::new(graph, config);
-        let shards = net.shard_count();
-        let (shard_scratch, shard_errors, shard_busy) = if shards > 1 {
-            (
-                (0..shards).map(|_| ShardScratch::default()).collect(),
-                (0..shards).map(|_| None).collect(),
-                vec![0u64; shards],
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
         SyncRuntime {
-            net,
+            net: Network::new(graph, config),
             programs,
             round: 0,
             inbox_scratch: Vec::new(),
             incoming: Vec::new(),
             outbox: Outbox::new(),
             flush_scratch: Vec::new(),
-            shard_scratch,
-            shard_errors,
-            shard_busy,
-            adaptive_sequential_rounds: 0,
         }
     }
 
     /// Installs a [`FaultPlan`] on the underlying network (see
     /// [`Network::set_fault_plan`]); call before [`start`](SyncRuntime::start).
-    /// Crashed nodes are skipped by both the sequential and the sharded
-    /// round engine, and their traffic is dropped at the barrier.
+    /// Crashed nodes are skipped, and their traffic is dropped at the
+    /// barrier.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.net.set_fault_plan(plan);
+    }
+
+    /// Installs a scheduler adversary on the underlying network (see
+    /// [`Network::set_scheduler`]), which runs the programs in the
+    /// discrete-event mode; call before [`start`](SyncRuntime::start).
+    /// Fault verdicts are judged first at the barrier; the scheduler skews
+    /// only the messages the plan delivers.
+    ///
+    /// ```
+    /// use congest_net::programs::Flood;
+    /// use congest_net::{topology, NetworkConfig, SchedulerSpec, SyncRuntime};
+    ///
+    /// # fn main() -> Result<(), congest_net::Error> {
+    /// let graph = topology::cycle(8)?;
+    /// let mut runtime =
+    ///     SyncRuntime::new(graph, NetworkConfig::with_seed(7), |v, _| Flood::new(v == 0));
+    /// runtime.set_scheduler(&SchedulerSpec::worst_case(2));
+    /// let time = runtime.run_until_halt(1_000)?;
+    /// assert!(runtime.all_halted());
+    /// // Holding every message for 2 extra ticks stretches the flood beyond
+    /// // the cycle's synchronous completion time.
+    /// assert!(time > 5);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn set_scheduler(&mut self, spec: &SchedulerSpec) {
+        self.net.set_scheduler(spec);
     }
 
     /// Turns on the network's trace sink (see [`Network::enable_trace`]).
@@ -416,43 +278,23 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// Installs the opt-in telemetry sidecar (see
     /// [`Network::enable_telemetry`]); call before
     /// [`start`](SyncRuntime::start). With telemetry on, each round
-    /// additionally records a node-step wall-clock span and — on sharded
-    /// rounds — per-shard worker busy time. Strictly outside the
-    /// determinism domain: metrics, history, traces, and RNG streams are
+    /// additionally records a node-step wall-clock span. Strictly outside
+    /// the determinism domain: metrics, history, traces, and RNG streams are
     /// byte-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self) {
         self.net.enable_telemetry();
     }
 
     /// Harvests the telemetry sidecar into a
-    /// [`TelemetryReport`] (see [`Network::take_telemetry`]), stamping in
-    /// this runtime's adaptive-sequential switch count. `None` if telemetry
-    /// was never enabled.
+    /// [`TelemetryReport`] (see [`Network::take_telemetry`]). `None` if
+    /// telemetry was never enabled.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let adaptive = self.adaptive_sequential_rounds;
-        self.net.take_telemetry().map(|mut report| {
-            report.wall.adaptive_sequential_rounds = adaptive;
-            report
-        })
+        self.net.take_telemetry()
     }
 
     /// Takes the events recorded so far (see [`Network::take_trace`]).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.net.take_trace()
-    }
-
-    /// Rounds executed sequentially by the adaptive scheduler despite a
-    /// `shards > 1` configuration (sparse rounds below
-    /// [`ADAPTIVE_SEQUENTIAL_THRESHOLD`]).
-    #[must_use]
-    pub fn adaptive_sequential_rounds(&self) -> u64 {
-        self.adaptive_sequential_rounds
-    }
-
-    /// The number of worker shards executing each round (1 = sequential).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.net.shard_count()
     }
 
     /// The underlying network (for metric inspection).
@@ -495,45 +337,7 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// Propagates network errors from the queued sends.
     pub fn start(&mut self) -> Result<(), Error> {
         debug_assert_eq!(self.round, 0, "start() called twice");
-        // Adaptive hybrid scheduling: nothing has been delivered before the
-        // start-up round, so the node count stands in for the traffic level.
-        if self.net.shard_count() > 1 {
-            if self.programs.len() >= ADAPTIVE_SEQUENTIAL_THRESHOLD {
-                self.run_round_sharded(true)?;
-                self.round = 1;
-                return Ok(());
-            }
-            self.adaptive_sequential_rounds += 1;
-        }
-        let shared = self.shared_value();
-        let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
-        // (No recovery check here: a crash-recovery window `[from, until)`
-        // needs `from < until`, so no node can recover at round 0.)
-        for v in 0..self.programs.len() {
-            if self.net.node_crashed(v) {
-                continue;
-            }
-            let degree = self.net.graph().degree(v);
-            {
-                let (rng, faults) = self.net.ctx_parts(v);
-                let mut ctx = RoundContext {
-                    node: v,
-                    degree,
-                    round: 0,
-                    rng,
-                    shared_coin: shared,
-                    faults,
-                };
-                self.programs[v].on_start(&mut ctx, &mut self.outbox);
-            }
-            self.flush_outbox(v)?;
-        }
-        if let Some(start) = node_step_start {
-            self.net.record_node_step(elapsed_nanos(start));
-        }
-        self.net.advance_round();
-        self.round = 1;
-        Ok(())
+        self.run_round()
     }
 
     /// Executes one full round: delivery, per-node handlers, and sends.
@@ -545,98 +349,8 @@ impl<P: NodeProgram> SyncRuntime<P> {
     ///
     /// Propagates network errors from the queued sends.
     pub fn step(&mut self) -> Result<(), Error> {
-        // Adaptive hybrid scheduling: a sparse round (few messages delivered
-        // at the last barrier) costs more in pool dispatch than it saves, so
-        // it runs on the calling thread even with `shards > 1`. Both paths
-        // are byte-identical (the deterministic-merge invariant), so the
-        // switch affects wall-clock time only.
-        if self.net.shard_count() > 1 {
-            if self.net.delivered_last_round() >= ADAPTIVE_SEQUENTIAL_THRESHOLD {
-                self.run_round_sharded(false)?;
-                self.round += 1;
-                return Ok(());
-            }
-            self.adaptive_sequential_rounds += 1;
-        }
-        let shared = self.shared_value();
-        let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
-        // Per-node body mirrored in `run_shard_round` (kept as two textually
-        // parallel copies for hot-loop codegen; see the note there).
-        for v in 0..self.programs.len() {
-            // A rebooted node runs `on_recover` instead of the ordinary
-            // callback at its recovery round (its inbox is empty — the
-            // barrier dropped everything addressed to the pre-crash
-            // incarnation).
-            if self.net.node_recovered_this_round(v) {
-                let degree = self.net.graph().degree(v);
-                {
-                    let (rng, faults) = self.net.ctx_parts(v);
-                    let mut ctx = RoundContext {
-                        node: v,
-                        degree,
-                        round: self.round,
-                        rng,
-                        shared_coin: shared,
-                        faults,
-                    };
-                    self.programs[v].on_recover(&mut ctx, &mut self.outbox);
-                }
-                if !self.outbox.is_empty() {
-                    self.flush_outbox(v)?;
-                }
-                continue;
-            }
-            let inbox_empty = self.net.inbox(v).is_empty();
-            // A halted node sends nothing and, with an empty inbox, observes
-            // nothing: skip it without touching any buffer.
-            if inbox_empty && self.programs[v].halted() {
-                continue;
-            }
-            // A crashed node computes nothing (its inbox is always empty:
-            // the barrier already dropped anything addressed to it).
-            if self.net.node_crashed(v) {
-                continue;
-            }
-            if inbox_empty {
-                // Idle-but-live node: hand it an empty view without touching
-                // the swap machinery (this path dominates sparse rounds).
-                self.incoming.clear();
-            } else {
-                // Translate (sender, port, msg) deliveries into (receiving
-                // port, msg) pairs: KT0 nodes see ports, not identifiers.
-                // The arrival port was already resolved in O(1) at send
-                // time.
-                self.net.swap_inbox(v, &mut self.inbox_scratch);
-                self.incoming.clear();
-                self.incoming.extend(
-                    self.inbox_scratch
-                        .drain(..)
-                        .map(|(_, port, msg)| (port, msg)),
-                );
-            }
-            let degree = self.net.graph().degree(v);
-            {
-                let (rng, faults) = self.net.ctx_parts(v);
-                let mut ctx = RoundContext {
-                    node: v,
-                    degree,
-                    round: self.round,
-                    rng,
-                    shared_coin: shared,
-                    faults,
-                };
-                self.programs[v].on_round(&mut ctx, &self.incoming, &mut self.outbox);
-            }
-            if !self.outbox.is_empty() {
-                self.flush_outbox(v)?;
-            }
-        }
-        if let Some(start) = node_step_start {
-            self.net.record_node_step(elapsed_nanos(start));
-        }
-        self.net.advance_round();
-        self.round += 1;
-        Ok(())
+        debug_assert!(self.round > 0, "step() before start()");
+        self.run_round()
     }
 
     /// Whether every node program has halted. A **permanently** crashed
@@ -671,86 +385,83 @@ impl<P: NodeProgram> SyncRuntime<P> {
         self.net.shared_coin_uniform().ok()
     }
 
-    /// Executes one round (or the start-up round) across `k > 1` worker
-    /// shards on the persistent `rayon` pool, then merges at the barrier.
-    ///
-    /// The network is split into disjoint [`ShardView`]s and the program
-    /// vector into matching contiguous chunks; each worker runs its shard's
-    /// nodes in node order against purely shard-local state (inboxes, RNG
-    /// streams, edge stamps, outbox queue, counters), so there is no
-    /// cross-shard synchronisation inside a round. `advance_round` then
-    /// performs the deterministic shard-order merge.
-    ///
-    /// On error the round is **not** advanced — matching the sequential
-    /// path, which aborts at the erroring node before its `advance_round` —
-    /// and if several shards error, the lowest shard's error is reported
-    /// (deterministic). Exact post-error state still differs from
-    /// sequential in which *other* nodes ran before the error surfaced;
-    /// errors indicate protocol bugs, and the byte-identical-across-shard-
-    /// counts invariant is scoped to error-free executions.
-    ///
-    /// Unlike the sequential path this allocates O(k) task envelopes per
-    /// round — the price of dispatch; the per-message hot paths stay
-    /// allocation-free.
-    ///
-    /// `inline(never)` keeps the sharded machinery out of `step`'s inlined
-    /// body: with one codegen unit, letting it bleed into the sequential
-    /// loop measurably regresses the `k = 1` hot path (one call per round
-    /// is irrelevant at shard granularity).
-    #[inline(never)]
-    fn run_round_sharded(&mut self, start: bool) -> Result<(), Error> {
+    /// Runs every node's callback for the current round (`on_start` in
+    /// round 0), then advances the network through the barrier.
+    fn run_round(&mut self) -> Result<(), Error> {
         let shared = self.shared_value();
-        let round = self.round;
-        let telemetry_on = self.net.telemetry_enabled();
-        let node_step_start = telemetry_on.then(std::time::Instant::now);
-        let mut views = self.net.shard_views();
-        debug_assert_eq!(views.len(), self.shard_scratch.len());
-        {
-            let mut rest: &mut [P] = &mut self.programs;
-            let mut tasks: Vec<_> = views
-                .drain(..)
-                .zip(self.shard_scratch.iter_mut())
-                .zip(self.shard_errors.iter_mut().zip(self.shard_busy.iter_mut()))
-                .map(|((view, scratch), (error, busy))| {
-                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(view.node_count());
-                    rest = tail;
-                    let mut view = view;
-                    move || {
-                        // Wall-clock only, written into a pre-allocated slot:
-                        // the workers never touch the telemetry sink (or any
-                        // shared state) directly.
-                        let busy_start = telemetry_on.then(std::time::Instant::now);
-                        *error =
-                            run_shard_round(chunk, &mut view, scratch, round, shared, start).err();
-                        if let Some(at) = busy_start {
-                            *busy = elapsed_nanos(at);
-                        }
-                    }
-                })
-                .collect();
-            rayon::pool::global().scope_execute_batch(&mut tasks);
+        let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
+        for v in 0..self.programs.len() {
+            self.step_node(v, shared)?;
         }
-        // Drain every slot (not just the first) so nothing stale can ever
-        // be re-reported; the lowest shard's error wins deterministically.
-        let mut first_err = None;
-        for slot in &mut self.shard_errors {
-            let taken = slot.take();
-            if first_err.is_none() {
-                first_err = taken;
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        if let Some(at) = node_step_start {
-            self.net.record_node_step(elapsed_nanos(at));
-            for s in 0..self.shard_busy.len() {
-                self.net.record_shard_busy(s, self.shard_busy[s]);
-                self.shard_busy[s] = 0;
-            }
+        if let Some(start) = node_step_start {
+            self.net.record_node_step(elapsed_nanos(start));
         }
         self.net.advance_round();
+        self.round += 1;
         Ok(())
+    }
+
+    /// The per-node body of every round: recover, skip crashed, skip halted
+    /// with an empty inbox, translate the inbox, run the callback, flush.
+    #[inline]
+    fn step_node(&mut self, v: NodeId, shared_coin: Option<f64>) -> Result<(), Error> {
+        // A rebooted node runs `on_recover` instead of the ordinary callback
+        // at its recovery round. Its inbox is empty: the barrier dropped
+        // everything addressed to the pre-crash incarnation. (No node
+        // recovers at round 0, because a crash-recovery window `[from,
+        // until)` needs `from < until`.)
+        let recovering = self.net.node_recovered_this_round(v);
+        if !recovering {
+            let inbox_empty = self.net.inbox(v).is_empty();
+            // A halted node sends nothing and, with an empty inbox, observes
+            // nothing: skip it without touching any buffer. Every node
+            // starts, so round 0 skips nobody. This is the common case of a
+            // sparse round, so it is tested before the crash check.
+            if inbox_empty && self.round > 0 && self.programs[v].halted() {
+                return Ok(());
+            }
+            // A crashed node computes nothing (the barrier keeps its inbox
+            // empty).
+            if self.net.node_crashed(v) {
+                return Ok(());
+            }
+            if inbox_empty {
+                self.incoming.clear();
+            } else {
+                // Translate (sender, port, msg) deliveries into (receiving
+                // port, msg) pairs: KT0 nodes see ports, not identifiers.
+                // The arrival port was already resolved at send time.
+                self.net.swap_inbox(v, &mut self.inbox_scratch);
+                self.incoming.clear();
+                self.incoming.extend(
+                    self.inbox_scratch
+                        .drain(..)
+                        .map(|(_, port, msg)| (port, msg)),
+                );
+            }
+        }
+        let degree = self.net.graph().degree(v);
+        let (rng, faults) = self.net.ctx_parts(v);
+        let mut ctx = RoundContext {
+            node: v,
+            degree,
+            round: self.round,
+            rng,
+            shared_coin,
+            faults,
+        };
+        let program = &mut self.programs[v];
+        if recovering {
+            program.on_recover(&mut ctx, &mut self.outbox);
+        } else if self.round == 0 {
+            program.on_start(&mut ctx, &mut self.outbox);
+        } else {
+            program.on_round(&mut ctx, &self.incoming, &mut self.outbox);
+        }
+        if self.outbox.is_empty() {
+            return Ok(());
+        }
+        self.flush_outbox(v)
     }
 
     /// Sends everything queued in the shared outbox on behalf of `v`.
@@ -848,33 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flood_is_byte_identical_to_sequential() {
-        let graph = topology::hypercube(6).unwrap();
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(3)
-                    .shards(shards)
-                    .track_history(true),
-                |v, _| Flood::new(v == 0),
-            );
-            let rounds = runtime.run_until_halt(1000).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history)
-        };
-        let sequential = run(1);
-        for shards in [2usize, 3, 4, 8] {
-            assert_eq!(run(shards), sequential, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_execution_routes_private_rng_streams_correctly() {
+    fn programs_draw_from_their_private_rng_streams() {
         use rand::Rng;
 
         // Every node draws from its private stream each round and remembers
-        // the draws; per-node streams must be identical for any shard count,
-        // which fails loudly if a shard hands node v a misaligned RNG slice.
+        // the draws; they must be exactly node v's stream of a network built
+        // from the same seed, which fails loudly if the runtime hands node v
+        // another node's stream.
         #[derive(Debug)]
         struct Roller {
             draws: Vec<u64>,
@@ -899,27 +590,20 @@ mod tests {
             }
         }
         let graph = topology::cycle(17).unwrap();
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(11).shards(shards),
-                |_, _| Roller { draws: Vec::new() },
-            );
-            runtime.run_until_halt(6).unwrap();
-            let (programs, metrics) = runtime.into_parts();
-            let draws: Vec<Vec<u64>> = programs.into_iter().map(|p| p.draws).collect();
-            (draws, metrics)
-        };
-        let sequential = run(1);
-        for shards in [2usize, 4, 5] {
-            assert_eq!(run(shards), sequential, "shards = {shards}");
+        let mut runtime = SyncRuntime::new(graph.clone(), NetworkConfig::with_seed(11), |_, _| {
+            Roller { draws: Vec::new() }
+        });
+        runtime.run_until_halt(6).unwrap();
+        let mut reference: Network<bool> = Network::new(graph, NetworkConfig::with_seed(11));
+        for (v, program) in runtime.programs().iter().enumerate() {
+            let expected: Vec<u64> = (0..6).map(|_| reference.rng(v).gen()).collect();
+            assert_eq!(program.draws, expected, "node {v}");
         }
     }
 
     #[test]
-    fn sharded_runtime_reports_edge_busy() {
-        // A protocol bug (double send on one port) must surface the same
-        // error family under sharded execution as under sequential.
+    fn runtime_reports_edge_busy_without_advancing() {
+        // A protocol bug (double send on one port) surfaces as `EdgeBusy`.
         #[derive(Debug)]
         struct DoubleSender;
         impl NodeProgram for DoubleSender {
@@ -939,27 +623,11 @@ mod tests {
                 true
             }
         }
-        for shards in [1usize, 4] {
-            let graph = topology::cycle(8).unwrap();
-            let mut runtime =
-                SyncRuntime::new(graph, NetworkConfig::with_seed(1).shards(shards), |_, _| {
-                    DoubleSender
-                });
-            assert!(matches!(runtime.start(), Err(Error::EdgeBusy { .. })));
-            // Error parity with the sequential engine: the round must not
-            // have advanced.
-            assert_eq!(runtime.metrics().rounds, 0, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn shard_count_resolves_and_clamps() {
-        let graph = topology::complete(4).unwrap();
-        let runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(1).shards(64), |_, _| {
-            Flood::new(false)
-        });
-        // Clamped to n = 4 nodes.
-        assert_eq!(runtime.shard_count(), 4);
+        let graph = topology::cycle(8).unwrap();
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(1), |_, _| DoubleSender);
+        assert!(matches!(runtime.start(), Err(Error::EdgeBusy { .. })));
+        // The round aborts at the erroring node, before its barrier.
+        assert_eq!(runtime.metrics().rounds, 0);
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! `par_iter` / `into_par_iter` with `map` / `for_each` / `collect` over
 //! slices, `Vec`s, and integer ranges, plus [`join`] — all executed on a
 //! **persistent worker pool** ([`pool`]) spawned once per process, so
-//! high-frequency callers (the sharded round engine in `congest-net`
-//! dispatches a batch every simulated round) pay a queue push instead of an
-//! OS thread spawn. Results are always merged **in input order**, so
+//! high-frequency callers pay a queue push instead of an OS thread spawn. Results are always merged **in input order**, so
 //! parallel sweeps are deterministic: a seed-indexed map produces
 //! byte-identical output to its sequential counterpart.
 //!

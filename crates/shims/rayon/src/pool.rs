@@ -23,8 +23,8 @@
 //!
 //! Workers are spawned once, on first use, and live for the process
 //! lifetime; per-batch dispatch is a queue push + condvar notify, so a
-//! caller that dispatches every few hundred microseconds (the sharded round
-//! engine in `congest-net`) pays no thread-spawn cost.
+//! caller that dispatches every few hundred microseconds pays no
+//! thread-spawn cost.
 
 #![allow(unsafe_code)]
 

@@ -20,15 +20,15 @@
 //!   no new dependencies). A spec is a *matrix generator*: `sizes × seeds`
 //!   cells of one `(topology, protocol, fault plan, execution mode)`
 //!   combination — `mode = "event"` plus a `scheduler = [name, bound,
-//!   seed]` stanza selects the discrete-event engine
+//!   seed]` stanza selects the discrete-event mode
 //!   (`docs/EXECUTION_MODELS.md`).
 //! * **Registries** ([`registry`]) — every topology name resolves to a
 //!   [`congest_net::topology::Family`] (cycle, torus, complete,
 //!   expander/random-regular, star, hypercube) and every protocol name to a
-//!   [`ProtocolKind`] adapter: `Flood` runs through the sharded
+//!   [`ProtocolKind`] adapter: `Flood` runs through the
 //!   [`congest_net::SyncRuntime`], the leader-election protocols (quantum
 //!   and classical) through [`qle::LeaderElection::run_with`] — so every
-//!   cell honours the scenario's fault plan, shard count, and trace flag.
+//!   cell honours the scenario's fault plan, scheduler, and trace flag.
 //! * **Engine** ([`engine`]) — [`run_matrix`] fans cells out across the
 //!   workspace `rayon` pool and merges results **in cell order** (spec ×
 //!   size × seed), so tables and traces are byte-identical regardless of
@@ -66,12 +66,12 @@
 //! 1. **Seed determinism:** a cell is a pure function of
 //!    `(spec, n, seed)`. Topology generation, protocol randomness, and the
 //!    fault plan's drop stream are all seeded; nothing reads the clock, the
-//!    environment (beyond shard-count resolution), or scheduler order.
-//! 2. **Shard invariance:** fault decisions happen at the round barrier in
-//!    delivery order, which the deterministic barrier merge makes
-//!    byte-identical for every shard count — so a trace recorded at
-//!    `CONGEST_SHARDS=1` replays byte-for-byte at `CONGEST_SHARDS=4` and
-//!    vice versa (CI runs exactly that cross-shard replay).
+//!    environment, or thread-pool scheduling order.
+//! 2. **Barrier-order faults:** fault and scheduler decisions happen at the
+//!    round barrier in delivery order, which depends only on the seed — so a
+//!    trace recorded by one run replays byte-for-byte on any later run of
+//!    the same build (CI replays the committed matrix against its own
+//!    output).
 //!
 //! Consequently `replay` needs no stored network state: re-running the spec
 //! and comparing metrics + events *is* the replay, and any divergence means

@@ -4,17 +4,16 @@
 //! Topologies resolve to [`Family`] values (cycle, torus, complete,
 //! expander/random-regular, star, hypercube — with the expander degree as a
 //! parameter). Protocols are the [`ProtocolKind`] enum: the `Flood`
-//! reference program driven through the sharded [`SyncRuntime`] (or the
-//! discrete-event [`EventRuntime`] when the scenario says `mode = "event"`),
-//! and the leader-election protocols (quantum and classical) driven through
+//! reference program driven through the [`SyncRuntime`] (with a scheduler
+//! installed when the scenario says `mode = "event"`), and the
+//! leader-election protocols (quantum and classical) driven through
 //! [`LeaderElection::run_with`], so every cell honours the scenario's fault
-//! plan, shard count, trace flag, and execution mode.
+//! plan, trace flag, and execution mode.
 
 use congest_net::programs::{Flood, FloodBft, FloodFt};
 use congest_net::topology::Family;
 use congest_net::{
-    EventRuntime, ExecMode, Graph, Metrics, Network, NetworkConfig, NodeProgram, SyncRuntime,
-    TelemetryReport, TraceEvent,
+    ExecMode, Graph, Metrics, NetworkConfig, NodeProgram, SyncRuntime, TelemetryReport, TraceEvent,
 };
 
 use classical_baselines::{CprDiameterTwoLe, GhsLe, KppCompleteLe, KppMixingLe};
@@ -190,75 +189,24 @@ fn run_flood<P: NodeProgram>(
     init: impl FnMut(usize, usize) -> P,
     covered: impl Fn(&P) -> bool,
 ) -> Result<CellOutcome, String> {
-    let config = NetworkConfig::with_seed(seed).shards(opts.shards);
-    match opts.mode {
-        ExecMode::Round => {
-            let mut runtime = SyncRuntime::new(graph.clone(), config, init);
-            if opts.trace {
-                runtime.enable_trace();
-            }
-            if opts.telemetry {
-                runtime.enable_telemetry();
-            }
-            if let Some(plan) = &opts.fault_plan {
-                runtime.set_fault_plan(plan);
-            }
-            let rounds = runtime
-                .run_until_halt(max_rounds)
-                .map_err(|e| e.to_string())?;
-            let trace = runtime.take_trace();
-            let telemetry = runtime.take_telemetry();
-            let metrics = runtime.metrics();
-            Ok(flood_outcome(
-                runtime.network(),
-                runtime.programs(),
-                covered,
-                rounds,
-                metrics,
-                trace,
-                telemetry,
-            ))
-        }
-        ExecMode::Event(scheduler) => {
-            let mut runtime = EventRuntime::new(graph.clone(), config, scheduler, init);
-            if opts.trace {
-                runtime.enable_trace();
-            }
-            if opts.telemetry {
-                runtime.enable_telemetry();
-            }
-            if let Some(plan) = &opts.fault_plan {
-                runtime.set_fault_plan(plan);
-            }
-            let time = runtime.run(max_rounds).map_err(|e| e.to_string())?;
-            let trace = runtime.take_trace();
-            let telemetry = runtime.take_telemetry();
-            let metrics = runtime.metrics();
-            Ok(flood_outcome(
-                runtime.network(),
-                runtime.programs(),
-                covered,
-                time,
-                metrics,
-                trace,
-                telemetry,
-            ))
-        }
+    let mut runtime = SyncRuntime::new(graph.clone(), NetworkConfig::with_seed(seed), init);
+    if opts.trace {
+        runtime.enable_trace();
     }
-}
-
-/// Derives the flood coverage verdict from a finished runtime's state
-/// (shared by the round and event engines).
-#[allow(clippy::too_many_arguments)]
-fn flood_outcome<P: NodeProgram>(
-    net: &Network<P::Msg>,
-    programs: &[P],
-    covered: impl Fn(&P) -> bool,
-    rounds: u64,
-    metrics: Metrics,
-    trace: Vec<TraceEvent>,
-    telemetry: Option<TelemetryReport>,
-) -> CellOutcome {
+    if opts.telemetry {
+        runtime.enable_telemetry();
+    }
+    if let Some(plan) = &opts.fault_plan {
+        runtime.set_fault_plan(plan);
+    }
+    if let ExecMode::Event(scheduler) = opts.mode {
+        runtime.set_scheduler(&scheduler);
+    }
+    let rounds = runtime
+        .run_until_halt(max_rounds)
+        .map_err(|e| e.to_string())?;
+    let net = runtime.network();
+    let programs = runtime.programs();
     let n = programs.len();
     // `node_crashed` is the forward-looking view (also what the runtime's
     // halting check uses); derive both coverage numbers from it so the ok
@@ -269,14 +217,14 @@ fn flood_outcome<P: NodeProgram>(
     let reached = (0..n)
         .filter(|&v| covered(&programs[v]) && !net.node_crashed(v))
         .count();
-    CellOutcome {
-        metrics,
+    Ok(CellOutcome {
+        metrics: runtime.metrics(),
         effective_rounds: rounds,
         ok: reached + crashed == n,
         detail: format!("reached {reached}/{} live nodes", n - crashed),
-        trace,
-        telemetry,
-    }
+        trace: runtime.take_trace(),
+        telemetry: runtime.take_telemetry(),
+    })
 }
 
 fn run_le(

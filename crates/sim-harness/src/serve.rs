@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `run` keys mirror the `.scn` grammar: `name=`, `protocol=`, `topology=`,
-//! `degree=`, `n=`/`sizes=` and `seed=`/`seeds=` (comma lists), `shards=`,
+//! `degree=`, `n=`/`sizes=` and `seed=`/`seeds=` (comma lists),
 //! `max_rounds=`, `mode=round|event`, `scheduler=<name>,<bound>,<seed>`,
 //! the fault keys `fault_seed=`, `drop=`, `outage=`, `latency=`, `crash=`,
 //! `recover=`, `byzantine=`, `adversary=` (comma lists, repeatable), plus
@@ -253,7 +253,7 @@ fn request_specs(id: &str, keys: &[&str]) -> Result<(Vec<ScenarioSpec>, bool), (
             "spec" => spec_path = Some(value.to_string()),
             "name" => name = Some(value.to_string()),
             "protocol" | "topology" | "mode" => scenario.push(format!("{key} = \"{value}\"")),
-            "degree" | "shards" | "max_rounds" => scenario.push(format!("{key} = {value}")),
+            "degree" | "max_rounds" => scenario.push(format!("{key} = {value}")),
             "n" | "sizes" => scenario.push(format!("sizes = {}", int_list(value))),
             "seed" | "seeds" => scenario.push(format!("seeds = {}", int_list(value))),
             "scheduler" => {
@@ -273,7 +273,7 @@ fn request_specs(id: &str, keys: &[&str]) -> Result<(Vec<ScenarioSpec>, bool), (
                     2,
                     format!(
                         "unknown key \"{other}\" (known: name, protocol, topology, degree, n, \
-                         sizes, seed, seeds, shards, max_rounds, mode, scheduler, spec, trace, \
+                         sizes, seed, seeds, max_rounds, mode, scheduler, spec, trace, \
                          fault_seed, drop, outage, latency, crash, recover, byzantine, adversary)"
                     ),
                 ));

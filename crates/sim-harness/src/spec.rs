@@ -2,8 +2,8 @@
 //! text format.
 //!
 //! A [`ScenarioSpec`] names one `(topology family, protocol)` pair plus the
-//! parameter ranges to sweep (sizes and seeds), the shard count, a round
-//! budget, and a [`FaultPlan`]. A spec file holds any number of scenarios:
+//! parameter ranges to sweep (sizes and seeds), a round budget, and a
+//! [`FaultPlan`]. A spec file holds any number of scenarios:
 //!
 //! ```text
 //! [scenario]
@@ -12,7 +12,6 @@
 //! protocol = "flood"
 //! sizes = [32, 64]
 //! seeds = [1, 2]
-//! shards = 0            # 0 = auto (CONGEST_SHARDS)
 //! max_rounds = 10000
 //! mode = "event"        # optional; "round" (default) or "event"
 //! scheduler = ["latency-skew", 3, 7]   # [name, bound, seed]; event mode only
@@ -77,23 +76,20 @@ pub struct ScenarioSpec {
     /// Seeds to sweep (each seeds both the topology generator and the
     /// protocol run).
     pub seeds: Vec<u64>,
-    /// Worker shard count (`0` = auto via `CONGEST_SHARDS`).
-    pub shards: usize,
     /// Round budget for runtime-driven protocols.
     pub max_rounds: u64,
     /// The fault plan every cell of this scenario runs under (empty =
     /// fault-free).
     pub faults: FaultPlan,
-    /// Which execution engine drives the cells: the round-synchronous
-    /// engine (the default) or the discrete-event engine under a scheduler
+    /// Which execution model drives the cells: the round-synchronous
+    /// model (the default) or the discrete-event mode under a scheduler
     /// adversary (see `docs/EXECUTION_MODELS.md`).
     pub mode: ExecMode,
 }
 
 impl ScenarioSpec {
-    /// A scenario with one size (32), one seed (1), auto sharding, a
-    /// generous round budget, and no faults; refine with the builder
-    /// methods.
+    /// A scenario with one size (32), one seed (1), a generous round
+    /// budget, and no faults; refine with the builder methods.
     #[must_use]
     pub fn new(name: impl Into<String>, topology: Family, protocol: ProtocolKind) -> Self {
         ScenarioSpec {
@@ -102,7 +98,6 @@ impl ScenarioSpec {
             protocol,
             sizes: vec![32],
             seeds: vec![1],
-            shards: 0,
             max_rounds: 100_000,
             faults: FaultPlan::default(),
             mode: ExecMode::Round,
@@ -120,13 +115,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Sets the shard count (`0` = auto).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -174,7 +162,6 @@ impl ScenarioSpec {
         writeln!(out, "protocol = \"{}\"", self.protocol.name()).unwrap();
         writeln!(out, "sizes = {}", fmt_list(self.sizes.iter())).unwrap();
         writeln!(out, "seeds = {}", fmt_list(self.seeds.iter())).unwrap();
-        writeln!(out, "shards = {}", self.shards).unwrap();
         writeln!(out, "max_rounds = {}", self.max_rounds).unwrap();
         if let ExecMode::Event(sched) = self.mode {
             writeln!(out, "mode = \"event\"").unwrap();
@@ -284,7 +271,6 @@ struct Draft {
     protocol: Option<String>,
     sizes: Option<Vec<usize>>,
     seeds: Option<Vec<u64>>,
-    shards: usize,
     max_rounds: Option<u64>,
     fault_seed: u64,
     drop: f64,
@@ -369,11 +355,10 @@ impl Draft {
             }
             spec.seeds = seeds;
         }
-        spec.shards = self.shards;
         match self.mode.as_deref() {
             // `mode = "event"` without a `scheduler` stanza runs under the
-            // synchronous scheduler (the discrete-event engine reproducing
-            // the round engine exactly).
+            // synchronous scheduler (the discrete-event mode reproducing
+            // the round model exactly).
             Some("event") => {
                 spec.mode =
                     ExecMode::Event(self.scheduler.unwrap_or_else(SchedulerSpec::synchronous));
@@ -484,9 +469,6 @@ impl<'a> Parser<'a> {
                 }
                 (Section::Scenario, "seeds") => {
                     draft.seeds = Some(parse_int_list(value, line_no)?);
-                }
-                (Section::Scenario, "shards") => {
-                    draft.shards = parse_int(value, line_no)? as usize;
                 }
                 (Section::Scenario, "max_rounds") => {
                     draft.max_rounds = Some(parse_int(value, line_no)?);
@@ -839,6 +821,7 @@ crash = [0, 1]
             ("sizes = []", "`sizes` is empty"),
             ("seeds = []", "`seeds` is empty"),
             ("max_rounds = 0", "`max_rounds` must be positive"),
+            ("shards = 4", "unknown key \"shards\""),
         ] {
             let err = ScenarioSpec::parse_many(&format!("{base}{key}\n")).unwrap_err();
             assert!(err.message.contains(needle), "{key}: {err}");

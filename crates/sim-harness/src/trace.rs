@@ -7,9 +7,9 @@
 //! back, and [`compare`] re-verifies a fresh run against a baseline —
 //! **byte-identical metrics and events**, which is what `experiments
 //! --scenarios … --replay` asserts. Because fault decisions are made in the
-//! network's deterministic delivery order, a baseline recorded at one shard
-//! count must replay cleanly at any other; CI exercises exactly that
-//! cross-shard replay.
+//! network's deterministic delivery order, a baseline must replay cleanly
+//! on every later run of the same build; CI replays the committed matrix
+//! against its own output.
 //!
 //! **What a trace deliberately omits:** wall-clock data. Neither
 //! [`CellResult::wall_nanos`](crate::CellResult) nor the telemetry

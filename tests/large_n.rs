@@ -5,8 +5,8 @@
 //!
 //! The shared tracking allocator (`tests/support`) keeps **thread-local**
 //! current/peak byte counters, so the concurrently running tests in this
-//! binary measure only their own thread's allocations (the sequential round
-//! engine with `shards(1)` allocates exclusively on the driving thread).
+//! binary measure only their own thread's allocations (the round engine
+//! allocates exclusively on the driving thread).
 //!
 //! The ceilings below are per-node budgets with headroom (roughly 2× the
 //! measured footprint; about 1.2× for the two `K_{2^20}` workloads, whose
@@ -129,7 +129,7 @@ fn paper_protocols_run_on_complete_2_17() {
 fn million_node_star_flood_covers_and_stays_lean() {
     let (runtime, peak) = measured(|| {
         let graph = topology::star(MILLION).unwrap();
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3).shards(1), |v, _| {
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3), |v, _| {
             Flood::new(v == 0)
         });
         let rounds = runtime.run_until_halt(64).unwrap();
@@ -166,7 +166,7 @@ fn million_node_star_flood_covers_and_stays_lean() {
 fn million_node_hypercube_flood_completes() {
     let (runtime, peak) = measured(|| {
         let graph = topology::hypercube(20).unwrap();
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |v, _| {
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |v, _| {
             Flood::new(v == 0)
         });
         let rounds = runtime.run_until_halt(64).unwrap();

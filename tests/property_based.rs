@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) over the workspace's core invariants.
 
-use congest_net::programs::Flood;
-use congest_net::{topology, Graph, Network, NetworkConfig, SyncRuntime};
+use congest_net::{topology, Graph, Network, NetworkConfig};
 use proptest::prelude::*;
 use qle::algorithms::{QuantumGeneralLe, QuantumLe};
 use qle::candidate::{sample_candidates_seeded, satisfies_fact_c2};
@@ -264,40 +263,15 @@ proptest! {
         prop_assert_eq!(g.port_to(0, g.node_count()), None);
     }
 
-    /// The sharded round engine reproduces the sequential engine
-    /// byte-for-byte — metrics, round count, and per-round history — on
-    /// random graphs, random seeds, and random shard counts.
-    #[test]
-    fn sharded_flood_matches_sequential_on_random_graphs(
-        n in 8usize..64,
-        seed in 0u64..500,
-        shards in 2usize..9,
-    ) {
-        let graph = topology::erdos_renyi_connected(n, 0.2, seed).unwrap();
-        let run = |k: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(seed).shards(k).track_history(true),
-                |v, _| Flood::new(v == 0),
-            );
-            let rounds = runtime.run_until_halt(10_000).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history)
-        };
-        prop_assert_eq!(run(shards), run(1));
-    }
-
     /// Every implicit structured family is indistinguishable from its
     /// materialized CSR twin through the public `Graph` API: same neighbour
-    /// order, same edge-id layout, `edge_id ∘ reverse_port` round-trips, and
-    /// identical shard tilings — the contract that makes runs byte-identical
-    /// across backends. Sizes include the odd and degenerate ends (K_2, the
+    /// order, same edge-id layout, and `edge_id ∘ reverse_port` round-trips —
+    /// the contract that makes runs byte-identical across backends. Sizes include the odd and degenerate ends (K_2, the
     /// two-node star, C_3, Q_1, the smallest 3×3 torus).
     #[test]
     fn implicit_backends_match_materialized_csr(
         n in 2usize..40,
         d in 1u32..7,
-        shards in 1usize..9,
     ) {
         let graphs: Vec<Graph> = vec![
             topology::complete(n).unwrap(),
@@ -315,6 +289,7 @@ proptest! {
             prop_assert_eq!(g.edge_count(), csr.edge_count());
             for v in 0..nodes {
                 prop_assert_eq!(g.degree(v), csr.degree(v));
+                prop_assert_eq!(g.first_edge_id(v), csr.first_edge_id(v));
                 prop_assert_eq!(g.neighbors(v).to_vec(), csr.neighbors(v).to_vec());
                 for p in 0..g.degree(v) {
                     let e = g.edge_id(v, p);
@@ -328,21 +303,10 @@ proptest! {
                     prop_assert_eq!(g.edge_target(g.edge_id(u, rp)), v);
                 }
             }
-            prop_assert_eq!(g.shard_boundaries(shards), csr.shard_boundaries(shards));
+            prop_assert_eq!(g.first_edge_id(nodes), csr.first_edge_id(nodes));
         }
     }
 
-    /// Shard boundaries always tile the node and edge ranges, for random
-    /// graphs and any requested shard count.
-    #[test]
-    fn shard_boundaries_tile_random_graphs(n in 2usize..64, seed in 0u64..200, shards in 1usize..80) {
-        let g = topology::erdos_renyi_connected(n, 0.15, seed).unwrap();
-        let bounds = g.shard_boundaries(shards);
-        prop_assert_eq!(bounds[0], 0);
-        prop_assert_eq!(*bounds.last().unwrap(), n);
-        prop_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        prop_assert_eq!(bounds.len() - 1, shards.clamp(1, n));
-    }
 }
 
 proptest! {

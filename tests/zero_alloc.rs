@@ -11,7 +11,9 @@
 
 mod support;
 
-use congest_net::{topology, NetworkConfig, NodeProgram, Outbox, Port, RoundContext, SyncRuntime};
+use congest_net::{
+    topology, NetworkConfig, NodeProgram, Outbox, Port, RoundContext, SchedulerSpec, SyncRuntime,
+};
 
 #[global_allocator]
 static ALLOCATOR: support::TrackingAllocator = support::TrackingAllocator;
@@ -46,13 +48,7 @@ impl NodeProgram for Chatter {
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     let graph = topology::random_regular(64, 4, 3).unwrap();
-    // The zero-allocation guarantee is a property of the *sequential* round
-    // engine; sharded execution (k > 1) deliberately pays O(k) task-envelope
-    // allocations per round for pool dispatch. Pin k = 1 so a CONGEST_SHARDS
-    // environment override (the CI sharding matrix) doesn't change what this
-    // test measures.
-    let mut runtime =
-        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| Chatter);
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |_, _| Chatter);
     // Telemetry is compiled into this engine but must stay off by default:
     // the zero-allocation window below is also the pin that the telemetry
     // branch on the barrier path costs nothing when the sidecar is absent.
@@ -75,6 +71,31 @@ fn steady_state_rounds_do_not_allocate() {
     );
     // The run above really did carry traffic: 64 nodes × degree 4 × 350+
     // rounds.
+    assert!(runtime.metrics().classical_messages > 64 * 4 * 300);
+}
+
+#[test]
+fn steady_state_scheduler_rounds_do_not_allocate() {
+    // Event mode is the same runtime with a scheduler installed: its barrier
+    // takes the slow delivery path, which must be allocation-free too.
+    let graph = topology::random_regular(64, 4, 3).unwrap();
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |_, _| Chatter);
+    runtime.set_scheduler(&SchedulerSpec::synchronous());
+    assert!(runtime.network().scheduler_active());
+    runtime.start().unwrap();
+    for _ in 0..50 {
+        runtime.step().unwrap();
+    }
+    let ((), m) = support::measured(|| {
+        for _ in 0..300 {
+            runtime.step().unwrap();
+        }
+    });
+    assert_eq!(
+        m.allocations, 0,
+        "steady-state scheduler rounds allocated {} times",
+        m.allocations
+    );
     assert!(runtime.metrics().classical_messages > 64 * 4 * 300);
 }
 
@@ -111,8 +132,7 @@ impl NodeProgram for Whisper {
 #[test]
 fn steady_state_sparse_edge_busy_rounds_do_not_allocate() {
     let graph = topology::complete(128).unwrap();
-    let mut runtime =
-        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| Whisper);
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |_, _| Whisper);
     runtime.start().unwrap();
     for _ in 0..50 {
         runtime.step().unwrap();
@@ -138,8 +158,7 @@ fn steady_state_sparse_edge_busy_rounds_do_not_allocate() {
 fn peak_bytes_feeds_the_telemetry_report() {
     let graph = topology::random_regular(32, 4, 7).unwrap();
     let (mut report, m) = support::measured(|| {
-        let mut runtime =
-            SyncRuntime::new(graph, NetworkConfig::with_seed(9).shards(1), |_, _| Chatter);
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(9), |_, _| Chatter);
         runtime.enable_telemetry();
         runtime.start().unwrap();
         for _ in 0..20 {
