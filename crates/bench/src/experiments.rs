@@ -165,7 +165,7 @@ pub fn e3_mixing_le() -> ExperimentTable {
     );
     let mut q_points = Vec::new();
     let mut c_points = Vec::new();
-    for &dim in &[6u32, 7, 8, 9] {
+    for dim in 6u32..=11 {
         let graph = topology::hypercube(dim).expect("hypercube");
         let n = graph.node_count();
         // The lazy walk on Q_d mixes in Θ(d·log d) steps, not d steps.

@@ -212,9 +212,6 @@ pub struct Network<M: Payload> {
     /// Round-stamped fault events, recorded at the barrier in delivery
     /// order when tracing is enabled.
     trace: Vec<TraceEvent>,
-    /// Messages actually delivered (sent minus dropped) at the last
-    /// `advance_round`.
-    delivered_last_round: usize,
     /// The opt-in observability sidecar (see the [`telemetry`](crate::telemetry)
     /// module): `None` — the default — keeps every probe in the round
     /// barrier to a single predictable branch and the send paths untouched.
@@ -263,7 +260,6 @@ impl<M: Payload> Network<M> {
             delayed_seq: 0,
             trace_enabled: false,
             trace: Vec::new(),
-            delivered_last_round: 0,
             telemetry: None,
         }
     }
@@ -450,13 +446,6 @@ impl<M: Payload> Network<M> {
             }
         });
         (&mut self.node_rngs[v], faults)
-    }
-
-    /// Messages delivered (sent minus dropped) at the last
-    /// [`advance_round`](Network::advance_round).
-    #[must_use]
-    pub fn delivered_last_round(&self) -> usize {
-        self.delivered_last_round
     }
 
     /// The underlying communication graph.
@@ -726,15 +715,12 @@ impl<M: Payload> Network<M> {
                 self.deliver_slow();
             }
         } else {
-            let mut delivered = 0usize;
             for (from, port, to, msg) in self.pending.drain(..) {
                 if self.inboxes[to].is_empty() {
                     self.dirty_inboxes.push(to);
                 }
                 self.inboxes[to].push((from, port, msg));
-                delivered += 1;
             }
-            self.delivered_last_round = delivered;
         }
         self.round_stamp += 1;
         if let Some(faults) = self.faults.as_mut() {
@@ -792,7 +778,6 @@ impl<M: Payload> Network<M> {
         if let Some(faults) = faults.as_mut() {
             faults.emit_transitions(&mut self.recorder, &mut self.trace, self.trace_enabled);
         }
-        let mut delivered = 0usize;
         while let Some(entry) = self.delayed.peek() {
             if entry.due > clock {
                 break;
@@ -821,7 +806,6 @@ impl<M: Payload> Network<M> {
                         self.dirty_inboxes.push(to);
                     }
                     self.inboxes[to].push((from, port, msg));
-                    delivered += 1;
                 }
             }
         }
@@ -962,14 +946,12 @@ impl<M: Payload> Network<M> {
                             self.dirty_inboxes.push(to);
                         }
                         self.inboxes[to].push((from, port, msg));
-                        delivered += 1;
                     }
                 }
             }
         }
         // Rotate the drained buffer back so its capacity is reused.
         self.pending = pending;
-        self.delivered_last_round = delivered;
         self.faults = faults;
         self.scheduler = scheduler;
     }

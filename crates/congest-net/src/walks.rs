@@ -10,7 +10,14 @@
 //!   is centralised — see Section 5.2),
 //! * spectral-gap estimation of the lazy random walk by power iteration,
 //! * mixing-time estimates, both spectral (`O(log n / gap)`) and exact
-//!   total-variation for small graphs.
+//!   total-variation for small graphs,
+//! * exact lazy-walk hit probabilities for many start nodes at once
+//!   ([`lazy_walk_hit_probabilities`]), which `QuantumRWLE` uses for the
+//!   marked fraction of every candidate's Grover search. It pushes blocks of
+//!   distributions through a flat adjacency table, and each result is
+//!   bit-identical to a single-start propagation.
+//!
+//! Both exact propagations share one lazy-walk push loop.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -133,6 +140,7 @@ pub fn spectral_mixing_time(graph: &Graph, epsilon: f64) -> usize {
 pub fn total_variation_mixing_time(graph: &Graph, epsilon: f64, max_t: usize) -> usize {
     let n = graph.node_count();
     let pi = graph.stationary_distribution();
+    let adjacency = FlatAdjacency::new(graph);
     let mut worst = 0;
     // One pair of distribution buffers reused across all n starts.
     let mut dist = vec![0.0; n];
@@ -151,7 +159,7 @@ pub fn total_variation_mixing_time(graph: &Graph, epsilon: f64, max_t: usize) ->
             if tv <= epsilon {
                 break;
             }
-            apply_lazy_walk_distribution_into(graph, &dist, &mut next);
+            push_lazy_step::<1>(&adjacency, &dist, &mut next);
             std::mem::swap(&mut dist, &mut next);
             t += 1;
         }
@@ -171,19 +179,116 @@ fn apply_lazy_walk_into(graph: &Graph, f: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Pushes a probability distribution one step through the lazy walk, writing
-/// into `out` (reused by callers).
-fn apply_lazy_walk_distribution_into(graph: &Graph, dist: &[f64], out: &mut [f64]) {
+/// How many distributions [`lazy_walk_hit_probabilities`] propagates side by
+/// side: wide enough that each adjacency read feeds a vector of adds, small
+/// enough that a block's two buffers stay cache-resident.
+const BLOCK: usize = 8;
+
+/// For each `i`, the probability that a `length`-step lazy walk from
+/// `starts[i]` ends at a node `v` with `is_marked(i, v)`, by exact
+/// distribution propagation.
+///
+/// The starts are propagated eight at a time (a block `B`) through
+/// node-major buffers (`dist[v * B + j]` is column `j`'s mass at `v`) over a
+/// flat copy of the adjacency, so every neighbour read serves a whole block
+/// and implicit graphs resolve each port once per call rather than once per
+/// step and start. Extra memory is `O(n · B + m)`, whatever `starts.len()`
+/// is.
+///
+/// Every column performs exactly the floating-point operations of a
+/// single-start push propagation — contributions to each node in ascending
+/// source order with the self term `0.5 · mass` at its own position,
+/// `share = 0.5 · mass / deg`, then an ascending sum over the marked nodes —
+/// so each result is bit-identical to propagating its start alone.
+#[must_use]
+pub fn lazy_walk_hit_probabilities(
+    graph: &Graph,
+    starts: &[NodeId],
+    length: usize,
+    is_marked: impl Fn(usize, NodeId) -> bool,
+) -> Vec<f64> {
+    let n = graph.node_count();
+    let adjacency = FlatAdjacency::new(graph);
+    let mut dist = vec![0.0; n * BLOCK];
+    let mut next = vec![0.0; n * BLOCK];
+    let mut hits = Vec::with_capacity(starts.len());
+    for block in starts.chunks(BLOCK) {
+        dist.fill(0.0);
+        for (j, &start) in block.iter().enumerate() {
+            dist[start * BLOCK + j] = 1.0;
+        }
+        for _ in 0..length {
+            push_lazy_step::<BLOCK>(&adjacency, &dist, &mut next);
+            std::mem::swap(&mut dist, &mut next);
+        }
+        for j in 0..block.len() {
+            let i = hits.len();
+            hits.push(
+                (0..n)
+                    .filter(|&v| is_marked(i, v))
+                    .map(|v| dist[v * BLOCK + j])
+                    .sum(),
+            );
+        }
+    }
+    hits
+}
+
+/// A graph's adjacency copied into flat `offsets`/`targets` arrays in port
+/// order, so propagation loops read neighbours from memory on both backends.
+struct FlatAdjacency {
+    /// `targets[offsets[v]..offsets[v + 1]]` are `v`'s neighbours.
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+}
+
+impl FlatAdjacency {
+    fn new(graph: &Graph) -> Self {
+        let n = graph.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(graph.directed_edge_count());
+        offsets.push(0);
+        for v in 0..n {
+            targets.extend(graph.neighbors(v));
+            offsets.push(targets.len());
+        }
+        FlatAdjacency { offsets, targets }
+    }
+}
+
+/// Pushes `W` probability distributions, stored node-major (`dist[v * W + j]`
+/// is column `j`'s mass at `v`), one step through the lazy walk, writing into
+/// `out`. This is the workspace's one lazy-walk push loop.
+///
+/// Per column the operations are those of the plain single-distribution push:
+/// sources in ascending order, each adding `0.5 · mass` to itself and
+/// `0.5 · mass / deg` to every neighbour in port order. A source whose `W`
+/// masses are all zero would add only `+0.0` to non-negative values, so it is
+/// skipped.
+fn push_lazy_step<const W: usize>(adjacency: &FlatAdjacency, dist: &[f64], out: &mut [f64]) {
     out.fill(0.0);
-    for v in 0..graph.node_count() {
-        let mass = dist[v];
-        if mass == 0.0 {
+    for (v, bounds) in adjacency.offsets.windows(2).enumerate() {
+        let mass: &[f64; W] = dist[v * W..(v + 1) * W].try_into().expect("W columns");
+        if mass.iter().all(|&m| m == 0.0) {
             continue;
         }
-        out[v] += 0.5 * mass;
-        let share = 0.5 * mass / graph.degree(v) as f64;
-        for u in graph.neighbors(v) {
-            out[u] += share;
+        let neighbors = &adjacency.targets[bounds[0]..bounds[1]];
+        let degree = neighbors.len() as f64;
+        let own: &mut [f64; W] = (&mut out[v * W..(v + 1) * W])
+            .try_into()
+            .expect("W columns");
+        let mut share = [0.0; W];
+        for j in 0..W {
+            own[j] += 0.5 * mass[j];
+            share[j] = 0.5 * mass[j] / degree;
+        }
+        for &u in neighbors {
+            let row: &mut [f64; W] = (&mut out[u * W..(u + 1) * W])
+                .try_into()
+                .expect("W columns");
+            for j in 0..W {
+                row[j] += share[j];
+            }
         }
     }
 }
@@ -219,7 +324,103 @@ fn normalize(x: &mut [f64], pi: &[f64]) {
 mod tests {
     use super::*;
     use crate::topology;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The single-start propagation that [`lazy_walk_hit_probabilities`]
+    /// replaced, kept verbatim as its bit-identity oracle.
+    fn walk_hit_probability(
+        graph: &Graph,
+        start: NodeId,
+        length: usize,
+        is_marked: impl Fn(NodeId) -> bool,
+    ) -> f64 {
+        let n = graph.node_count();
+        let mut dist = vec![0.0f64; n];
+        dist[start] = 1.0;
+        for _ in 0..length {
+            let mut next = vec![0.0f64; n];
+            for v in 0..n {
+                let mass = dist[v];
+                if mass == 0.0 {
+                    continue;
+                }
+                next[v] += 0.5 * mass;
+                let share = 0.5 * mass / graph.degree(v) as f64;
+                for u in graph.neighbors(v) {
+                    next[u] += share;
+                }
+            }
+            dist = next;
+        }
+        (0..n).filter(|&v| is_marked(v)).map(|v| dist[v]).sum()
+    }
+
+    /// A connected irregular CSR graph from `from_edges`: a random tree plus
+    /// random chords.
+    fn random_from_edges(n: usize, rng: &mut StdRng) -> Graph {
+        let mut edges: Vec<(NodeId, NodeId)> = (1..n).map(|v| (rng.gen_range(0..v), v)).collect();
+        for _ in 0..n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let (u, v) = (u.min(v), u.max(v));
+            if u != v && !edges.iter().any(|&(a, b)| (a.min(b), a.max(b)) == (u, v)) {
+                edges.push((u, v));
+            }
+        }
+        Graph::from_edges(n, &edges).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn blocked_hit_probabilities_are_bit_identical_to_single_start(
+            size in 0usize..12,
+            seed in 0u64..10_000,
+            length in 0usize..41,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graphs = [
+                // The pairing construction can fail; the next seed will do.
+                (seed..)
+                    .find_map(|s| topology::random_regular(2 * size + 8, 3 + size % 3, s).ok())
+                    .unwrap(),
+                random_from_edges(size + 3, &mut rng),
+                topology::hypercube(1 + size as u32 % 5).unwrap(),
+                topology::cycle(size + 3).unwrap(),
+                topology::torus(3 + size % 3, 3 + size / 3).unwrap(),
+                topology::complete(size + 2).unwrap(),
+            ];
+            for graph in &graphs {
+                let n = graph.node_count();
+                // Node values in 1..=n against thresholds in 0..=n+1: threshold
+                // 0 marks every node and n + 1 marks none.
+                let values: Vec<usize> = (0..n).map(|_| rng.gen_range(1..n + 1)).collect();
+                for count in [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3] {
+                    let mut starts: Vec<NodeId> = (0..count).map(|_| rng.gen_range(0..n)).collect();
+                    let mut thresholds: Vec<usize> =
+                        (0..count).map(|_| rng.gen_range(0..n + 2)).collect();
+                    if count > 1 {
+                        starts[count - 1] = starts[0];
+                        thresholds[0] = 0;
+                        thresholds[count - 1] = n + 1;
+                    }
+                    let marked = |i: usize, v: NodeId| values[v] > thresholds[i];
+                    let blocked = lazy_walk_hit_probabilities(graph, &starts, length, marked);
+                    prop_assert_eq!(blocked.len(), count);
+                    for (i, &hit) in blocked.iter().enumerate() {
+                        let oracle = walk_hit_probability(graph, starts[i], length, |v| marked(i, v));
+                        prop_assert_eq!(
+                            hit.to_bits(),
+                            oracle.to_bits(),
+                            "column {} of {} (start {}, n = {}, implicit = {})",
+                            i, count, starts[i], n, graph.is_implicit()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn walk_stays_on_graph() {

@@ -26,8 +26,18 @@
 //! mixing-time machinery also covers bipartite topologies such as hypercubes,
 //! which the paper cites as its canonical small-τ example. This changes τ by
 //! at most a constant factor.
+//!
+//! **Marked fractions.** Grover's outcome law for candidate `c` needs the
+//! exact fraction `ε_f` of pre-committed walks that end at a node holding a
+//! rank above `c`'s. The simulator computes it from the graph rather than
+//! from any message: once the referees are chosen, one call to
+//! [`lazy_walk_hit_probabilities`] propagates every candidate's walk
+//! distribution exactly, in blocks of candidates over a flat copy of the
+//! adjacency. Each fraction is bit-identical to propagating that candidate's
+//! distribution alone, and the call draws no randomness, so the protocol's
+//! random streams do not depend on how the fractions are computed.
 
-use congest_net::walks::spectral_mixing_time;
+use congest_net::walks::{lazy_walk_hit_probabilities, spectral_mixing_time};
 use congest_net::{Graph, Network, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -193,35 +203,6 @@ impl CheckingOracle<RwMessage> for WalkCheckOracle<'_> {
     }
 }
 
-/// Probability that an `L`-step lazy walk from `start` ends at a node marked
-/// by `is_marked`, by exact distribution propagation.
-fn walk_hit_probability(
-    graph: &Graph,
-    start: NodeId,
-    length: usize,
-    is_marked: impl Fn(NodeId) -> bool,
-) -> f64 {
-    let n = graph.node_count();
-    let mut dist = vec![0.0f64; n];
-    dist[start] = 1.0;
-    for _ in 0..length {
-        let mut next = vec![0.0f64; n];
-        for v in 0..n {
-            let mass = dist[v];
-            if mass == 0.0 {
-                continue;
-            }
-            next[v] += 0.5 * mass;
-            let share = 0.5 * mass / graph.degree(v) as f64;
-            for u in graph.neighbors(v) {
-                next[u] += share;
-            }
-        }
-        dist = next;
-    }
-    (0..n).filter(|&v| is_marked(v)).map(|v| dist[v]).sum()
-}
-
 /// The `QuantumRWLE` protocol (Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumRwLe {
@@ -336,9 +317,14 @@ impl LeaderElection for QuantumRwLe {
         // Phase 3 + 4: Grover search over pre-committed walks.
         let epsilon = (k as f64 / n as f64).min(1.0);
         let mut max_quantum_rounds = 0u64;
-        for c in &candidates {
-            let fraction =
-                walk_hit_probability(graph, c.node, walk_length, |w| max_received[w] > c.rank);
+        // Each candidate's exact marked fraction depends only on the graph,
+        // τ and the referees' ranks and draws no randomness, so all of them
+        // are computed up front in one blocked propagation.
+        let starts: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
+        let fractions = lazy_walk_hit_probabilities(graph, &starts, walk_length, |i, w| {
+            max_received[w] > candidates[i].rank
+        });
+        for (c, &fraction) in candidates.iter().zip(&fractions) {
             let mut oracle = WalkCheckOracle {
                 candidate: *c,
                 graph,
@@ -406,7 +392,7 @@ mod tests {
         // After many lazy steps on a regular graph, the endpoint is uniform,
         // so the hit probability of a 3-node marked set approaches 3/n.
         let graph = topology::random_regular(30, 4, 1).unwrap();
-        let p = walk_hit_probability(&graph, 0, 200, |v| v < 3);
+        let p = lazy_walk_hit_probabilities(&graph, &[0], 200, |_, v| v < 3)[0];
         assert!((p - 0.1).abs() < 0.02, "p = {p}");
     }
 

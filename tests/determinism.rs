@@ -14,7 +14,7 @@
 use classical_baselines::GhsLe;
 use congest_net::programs::Flood;
 use congest_net::{topology, Metrics, NetworkConfig, SyncRuntime};
-use qle::algorithms::QuantumLe;
+use qle::algorithms::{QuantumLe, QuantumRwLe};
 use qle::{AlphaChoice, KChoice, LeaderElection};
 use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
@@ -191,4 +191,74 @@ fn distinct_seeds_change_randomized_runs() {
         (b.cost.total_messages(), b.cost.metrics.total_bits),
         "different seeds produced identical traffic — suspicious"
     );
+}
+
+/// The golden record of one `QuantumRWLE` run: elected leaders, effective
+/// rounds and the full [`Metrics`].
+fn rwle_golden(
+    leaders: Vec<usize>,
+    effective_rounds: u64,
+    classical_messages: u64,
+    quantum_messages: u64,
+    rounds: u64,
+    total_bits: u64,
+) -> (Vec<usize>, u64, Metrics) {
+    let metrics = Metrics {
+        classical_messages,
+        quantum_messages,
+        rounds,
+        peak_messages_per_round: 1,
+        total_bits,
+        ..Metrics::new()
+    };
+    (leaders, effective_rounds, metrics)
+}
+
+#[test]
+fn quantum_rw_le_matches_golden_on_both_backends() {
+    // Golden: QuantumRWLE in the E3 configuration (k optimal, α = 1/4,
+    // τ = ⌈8·ln 8⌉ = 17) on implicit Q_8 and on a CSR 8-regular graph of 256
+    // nodes (topology seed 3), protocol seeds 1–3. The marked fraction of each
+    // candidate's Grover search is computed exactly from the graph, so these
+    // values pin that computation as well as the protocol's RNG streams.
+    let tau = 17;
+    let protocol =
+        QuantumRwLe::with_parameters(KChoice::Optimal, AlphaChoice::Fixed(0.25), Some(tau));
+    let hypercube = topology::hypercube(8).unwrap();
+    assert!(hypercube.is_implicit());
+    let regular = topology::random_regular(256, 8, 3).unwrap();
+    assert!(!regular.is_implicit());
+    let expected = [
+        (
+            &hypercube,
+            [
+                rwle_golden(vec![221, 238], 1017, 25_747, 64_610, 90_357, 4_855_700),
+                rwle_golden(vec![235], 1029, 19_873, 49_436, 69_309, 3_730_712),
+                rwle_golden(vec![124], 1011, 23_496, 58_392, 81_888, 4_406_932),
+            ],
+        ),
+        (
+            &regular,
+            [
+                rwle_golden(vec![238], 1005, 25_766, 63_610, 89_376, 4_812_384),
+                rwle_golden(vec![235], 1001, 19_944, 49_560, 69_504, 3_739_596),
+                rwle_golden(vec![124], 1019, 23_555, 58_482, 82_037, 4_416_096),
+            ],
+        ),
+    ];
+    for (graph, goldens) in expected {
+        for (seed, golden) in (1u64..).zip(goldens) {
+            let run = protocol.run(graph, seed).unwrap();
+            assert_eq!(
+                (
+                    run.outcome.leaders(),
+                    run.cost.effective_rounds,
+                    run.cost.metrics
+                ),
+                golden,
+                "QuantumRWLE diverged on seed {seed} (implicit = {})",
+                graph.is_implicit()
+            );
+        }
+    }
 }
